@@ -6,7 +6,7 @@ GO ?= go
 FUZZTIME ?= 30s
 COVER_BASELINE ?= 88.5
 
-.PHONY: check race cover fuzz-smoke serve-smoke chaos-smoke ci bench-parallel bench-serve bench-json bench-gate
+.PHONY: check race cover fuzz-smoke serve-smoke chaos-smoke bench-smoke ci bench-parallel bench-serve bench-json bench-gate
 
 ## check: vet, build and test everything (the tier-1 gate).
 check:
@@ -49,8 +49,15 @@ serve-smoke:
 chaos-smoke:
 	sh scripts/chaos_smoke.sh
 
-## ci: what the GitHub Actions workflow runs.
-ci: check race cover fuzz-smoke serve-smoke chaos-smoke bench-gate
+## bench-smoke: the repository benchmark's own tests — every
+## BENCHMARK.json workload driven once through the real binaries
+## (TestSmokeAllWorkloads), answers checked against the oracle and pins.
+bench-smoke:
+	$(GO) test ./benchmark/
+
+## ci: what the GitHub Actions workflow runs — one step per target below,
+## so this file is the only place a package list or baseline is named.
+ci: check race cover fuzz-smoke serve-smoke chaos-smoke bench-smoke bench-gate
 
 ## bench-parallel: regenerate the worker-sweep numbers locally (output is
 ## machine-specific and gitignored; honest wall-clock depends on host cores).

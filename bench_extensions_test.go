@@ -2,8 +2,7 @@ package metablocking
 
 // Benchmarks for the extension subsystems (DESIGN.md extensions table):
 // incremental resolution, supervised meta-blocking, progressive
-// scheduling, the MapReduce formulation, MinHash blocking and automatic
-// purging.
+// scheduling, MinHash blocking and automatic purging.
 
 import (
 	"testing"
@@ -12,8 +11,6 @@ import (
 	"metablocking/internal/blockproc"
 	"metablocking/internal/core"
 	"metablocking/internal/incremental"
-	"metablocking/internal/mapreduce"
-	"metablocking/internal/mrmeta"
 	"metablocking/internal/progressive"
 	"metablocking/internal/supervised"
 )
@@ -57,23 +54,6 @@ func BenchmarkProgressiveSchedule(b *testing.B) {
 			b.Fatal("empty schedule")
 		}
 	}
-}
-
-// BenchmarkMapReduceWEP contrasts the MapReduce formulation against the
-// sequential core on the same pruning task (the shuffle materialization
-// cost is the difference).
-func BenchmarkMapReduceWEP(b *testing.B) {
-	d := benchDatasets(b)["D1C"]
-	b.Run("core", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.Run(d.filtered, core.Config{Scheme: core.JS, Algorithm: core.WEP})
-		}
-	})
-	b.Run("mapreduce", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mrmeta.NewJob(d.filtered, core.JS, mapreduce.Config{}).WEP()
-		}
-	})
 }
 
 // BenchmarkMinHashBlocking measures LSH blocking against Token Blocking.

@@ -150,7 +150,7 @@ func (g *Graph) cep() []entity.Pair {
 // derived in a first traversal and the pruning happens in a second one,
 // since the implicit graph stores no weights. Like the neighborhood means,
 // the global mean uses exact (correctly rounded) summation, so every
-// implementation (serial, parallel, MapReduce) and every worker partition
+// implementation (serial, parallel) and every worker partition
 // lands on the same threshold bit-for-bit — without materializing or
 // sorting the edge weights.
 func (g *Graph) wep() []entity.Pair {

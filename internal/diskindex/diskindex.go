@@ -21,16 +21,17 @@
 //     posting bytes splice with postings.RebaseVarint — no decode, no
 //     full-index materialization.
 //
-// The read path keeps exactly the small state in RAM — per-profile key
-// counts (the |B_j| weight term), ScanCount cells, and the segments'
-// token dictionaries — while posting members and profiles stay on disk
-// behind a byte-budgeted page LRU. Gather replicates
-// incremental.Partition.Gather bit-for-bit: the same key order, the same
-// per-cell accumulation, the same float operand order, with each
-// token's members visited segment-by-segment in ascending-ID order (IDs
-// only grow across seals, so segment order is ID order). The partition
-// returns every weighted neighbor unpruned — a superset the
-// coordinator's exact merge kernels reduce to the identical answer.
+// The read path keeps exactly the small state in RAM — the
+// incremental.ScanCount kernel (one cell per local slot, the |B_j| key
+// count included) and the segments' token dictionaries — while posting
+// members and profiles stay on disk behind a byte-budgeted page LRU.
+// Gather only locates and decodes member lists; accumulation and
+// weighting are the kernel the in-memory incremental.Partition runs, fed
+// each token's members segment-by-segment in ascending-ID order (IDs
+// only grow across seals, so segment order is ID order), so the two back
+// ends cannot disagree on a weight. The partition returns every weighted
+// neighbor unpruned — a superset the coordinator's exact merge kernels
+// reduce to the identical answer.
 //
 // Gather and the other read accessors cannot return errors through the
 // shard.Backend contract; an I/O failure or a page that fails its CRC
@@ -41,7 +42,6 @@ package diskindex
 
 import (
 	"fmt"
-	"math"
 	"path/filepath"
 	"sort"
 
@@ -109,14 +109,6 @@ type Options struct {
 	Metrics *obs.Metrics
 }
 
-// cell is the ScanCount scratch of one local slot, like the in-memory
-// partition's shardCell.
-type cell struct {
-	epoch    int64
-	common   float64
-	firstKey int32
-}
-
 // Partition is one disk-backed hash-shard of the incremental index. It
 // implements shard.Backend and shard.Maintainer; like every partition it
 // is single-writer — the owning shard actor serializes all access.
@@ -142,15 +134,12 @@ type Partition struct {
 	memBytes    int
 
 	// RAM-resident read state for every local slot, sealed or not.
-	keyCounts []int32
-	cells     []cell
-	epoch     int64
+	scan *incremental.ScanCount
 
 	cache *pageCache
 
-	// Per-call scratch, reused across gathers.
-	members   []entity.ID
-	neighbors []entity.ID
+	// members is the posting-decode scratch, reused across gathers.
+	members []entity.ID
 
 	compactAfter int
 	seals        int64
@@ -222,6 +211,7 @@ func Open(opts Options) (*Partition, error) {
 		nextSeq:      opts.State.NextSeq,
 		nextGen:      opts.State.NextGen,
 		mem:          make(map[string]*postings.Builder),
+		scan:         incremental.NewScanCount(opts.Config.Scheme, opts.Shards),
 		compactAfter: opts.CompactAfter,
 		cache: newPageCache(opts.CacheBytes,
 			metrics.Counter(CtrPageReads), metrics.Counter(CtrCacheHits)),
@@ -249,10 +239,11 @@ func Open(opts Options) (*Partition, error) {
 			return nil, fmt.Errorf("diskindex: segment %s starts at slot %d, expected %d",
 				seg.Path(), meta.FirstSlot, p.sealedSlots)
 		}
-		p.keyCounts = append(p.keyCounts, seg.KeyCounts()...)
+		for _, n := range seg.KeyCounts() {
+			p.scan.AddSlot(int(n))
+		}
 		p.sealedSlots += meta.Profiles
 	}
-	p.cells = make([]cell, len(p.keyCounts))
 	if p.walEnabled && !opts.WALDefer {
 		if err := p.openWal(p.checkpoint, p.lastSize); err != nil {
 			return nil, err
@@ -289,16 +280,13 @@ func fail(err error) {
 	panic(fmt.Errorf("diskindex: %w", err))
 }
 
-// Gather implements shard.Backend: the ScanCount accumulation of
-// incremental.Partition.Gather over the sealed segments plus the
-// memtable. maxWeighted is ignored — every weighted neighbor is
+// Gather implements shard.Backend: each live key's members — every
+// sealed segment's page slice, then the memtable — are fed to the
+// ScanCount kernel. maxWeighted is ignored — every weighted neighbor is
 // returned, a superset the coordinator's exact top-K merge prunes to
 // the identical result.
 func (p *Partition) Gather(keys []string, incs []float64, bi int, nb float64, _ int, dst []incremental.ShardCand) []incremental.ShardCand {
-	p.epoch++
-	epoch := p.epoch
-	cells := p.cells
-	neighbors := p.neighbors[:0]
+	p.scan.Begin()
 	for ki, k := range keys {
 		inc := incs[ki]
 		if inc == incremental.SkipKey {
@@ -316,58 +304,14 @@ func (p *Partition) Gather(keys []string, incs []float64, bi int, nb float64, _ 
 			}
 			enc := page[ref.Off : ref.Off+ref.Len]
 			p.members = postings.AppendDecoded(p.members[:0], postings.Varint, enc, int(ref.Count))
-			neighbors = accumulate(cells, p.members, epoch, inc, int32(ki), p.shards, neighbors)
+			p.scan.Scan(ki, inc, p.members)
 		}
 		if b := p.mem[k]; b != nil {
 			p.members = b.AppendTo(p.members[:0])
-			neighbors = accumulate(cells, p.members, epoch, inc, int32(ki), p.shards, neighbors)
+			p.scan.Scan(ki, inc, p.members)
 		}
 	}
-	p.neighbors = neighbors
-	dst = dst[:0]
-	for _, j := range neighbors {
-		dst = append(dst, incremental.ShardCand{
-			Candidate: incremental.Candidate{ID: j, Weight: p.weight(bi, nb, j)},
-			FirstKey:  cells[int(j)/p.shards].firstKey,
-		})
-	}
-	return dst
-}
-
-// accumulate folds one member list into the ScanCount cells — the inner
-// loop of incremental.Partition.Gather, shared by the segment and
-// memtable passes so the float accumulation order is identical.
-func accumulate(cells []cell, members []entity.ID, epoch int64, inc float64, ki int32, shards int, neighbors []entity.ID) []entity.ID {
-	for _, j := range members {
-		c := &cells[int(j)/shards]
-		if c.epoch != epoch {
-			c.epoch = epoch
-			c.common = inc
-			c.firstKey = ki
-			neighbors = append(neighbors, j)
-		} else {
-			c.common += inc
-		}
-	}
-	return neighbors
-}
-
-// weight mirrors incremental.Partition.weight: same expressions, same
-// operand order, with |B_j| from the RAM-resident key counts.
-func (p *Partition) weight(bi int, nb float64, j entity.ID) float64 {
-	slot := int(j) / p.shards
-	common := p.cells[slot].common
-	bj := int(p.keyCounts[slot])
-	switch p.cfg.Scheme {
-	case core.ARCS, core.CBS:
-		return common
-	case core.ECBS:
-		return common * math.Log(nb/float64(bi)) * math.Log(nb/float64(bj))
-	case core.JS:
-		return common / (float64(bi) + float64(bj) - common)
-	default:
-		return common
-	}
+	return p.scan.Weigh(bi, nb, 0, dst)
 }
 
 // Commit implements shard.Backend: the profile and its keys join the
@@ -403,8 +347,7 @@ func (p *Partition) Commit(id entity.ID, prof entity.Profile, keys []string) err
 	}
 	p.memProfiles = append(p.memProfiles, prof)
 	p.memKeys = append(p.memKeys, kept)
-	p.keyCounts = append(p.keyCounts, int32(len(keys)))
-	p.cells = append(p.cells, cell{})
+	p.scan.AddSlot(len(keys))
 	for _, k := range keys {
 		b := p.mem[k]
 		if b == nil {

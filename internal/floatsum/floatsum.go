@@ -6,8 +6,7 @@
 // (WEP's global mean, WNP's neighborhood means). Float addition is not
 // associative, so a naive running sum would make threshold decisions on
 // boundary edges depend on enumeration order — and therefore differ between
-// the serial, multi-core and MapReduce implementations, and between worker
-// counts. The exact sum is a property of the *multiset* of weights alone:
+// the serial and multi-core implementations, and between worker counts. The exact sum is a property of the *multiset* of weights alone:
 // every partitioning of the inputs across workers yields bit-identical
 // thresholds, without materializing or sorting the weights.
 package floatsum

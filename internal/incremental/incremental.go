@@ -21,7 +21,7 @@ package incremental
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"metablocking/internal/core"
 	"metablocking/internal/entity"
@@ -458,12 +458,16 @@ func FromSnapshot(s *Snapshot) (*Resolver, error) {
 	return r, nil
 }
 
+// sortCandidates orders cs heaviest-first under the candidate ranking.
 func sortCandidates(cs []Candidate) {
-	sort.Slice(cs, func(a, b int) bool {
-		if cs[a].Weight != cs[b].Weight {
-			return cs[a].Weight > cs[b].Weight
+	slices.SortFunc(cs, func(a, b Candidate) int {
+		switch {
+		case outranks(a, b):
+			return -1
+		case outranks(b, a):
+			return 1
 		}
-		return cs[a].ID < cs[b].ID
+		return 0
 	})
 }
 
@@ -480,8 +484,8 @@ func (h *candHeap) reset(k int) {
 	h.k = k
 }
 
-// outranks reports whether a is retained in preference to b — the exact
-// total order sortCandidates sorts by.
+// outranks reports whether a is retained in preference to b — the
+// candidate ranking, a strict total order because IDs are distinct.
 func outranks(a, b Candidate) bool {
 	if a.Weight != b.Weight {
 		return a.Weight > b.Weight

@@ -2,7 +2,7 @@
 //
 // A Partition is one hash-shard of a Resolver: it holds the profiles whose
 // IDs hash to it (ShardOf), the shard's slice of every block's posting
-// list, and its own ScanCount scratch. Partitions know nothing about each
+// list, and its own ScanCount kernel. Partitions know nothing about each
 // other — the global statistics every weighting scheme needs (block
 // cardinalities for ARCS and Block Purging, the distinct-block count for
 // ECBS, the arriving profile's key count) are computed once by a
@@ -24,8 +24,9 @@
 package incremental
 
 import (
+	"cmp"
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 
 	"metablocking/internal/core"
@@ -96,29 +97,11 @@ func KeyIncrements(incs []float64, keys []string, blockSize func(string) int, sc
 	return incs
 }
 
-// ShardCand is one weighted neighbor reported by a partition: the
-// candidate plus the index of the first gather key whose block contains
-// it, which is what lets the coordinator reconstruct the serial
-// resolver's discovery order across shards.
-type ShardCand struct {
-	Candidate
-	FirstKey int32
-}
-
-// shardCell is a scanCell that additionally remembers the index of the
-// gather key whose block first discovered this slot's entity.
-type shardCell struct {
-	epoch    int64
-	common   float64
-	firstKey int32
-}
-
 // Partition is one hash-shard of the incremental index: profiles with
 // ShardOf(id) == index live here, stored at local slot id/shards. It is a
 // single-writer structure like Resolver — internal/shard gives each
 // partition its own actor goroutine.
 type Partition struct {
-	scheme core.Scheme
 	shards int // total shard count (for slot arithmetic)
 	index  int // this partition's shard number
 
@@ -128,30 +111,25 @@ type Partition struct {
 	// this shard. Commits arrive in ascending global-ID order, so every
 	// list still delta-encodes.
 	blocks map[string]*postings.Builder
-	// blocksOf[slot] lists the block keys of the profile at slot — the
-	// |B_j| term of ECBS and JS, local by construction.
+	// blocksOf[slot] lists the block keys of the profile at slot; their
+	// count is the slot's |B_j| in the kernel.
 	blocksOf [][]string
 
-	// ScanCount scratch, slot-indexed, grown by Commit. Unlike the
-	// single-index scanCell it also records the first gather key that
-	// discovered the slot, for the cross-shard discovery-order merge.
-	cells []shardCell
-	epoch int64
+	// scan is the shard's ScanCount kernel, one slot per profile, grown
+	// by Commit.
+	scan *ScanCount
 
-	// Per-call scratch, reused across gathers.
-	neighbors []entity.ID
-	members   []entity.ID
-	out       []ShardCand
-	topk      candHeap
+	// members is the posting-decode scratch, reused across gathers.
+	members []entity.ID
 }
 
 // NewPartition returns shard index of shards for the given scheme.
 func NewPartition(scheme core.Scheme, shards, index int) *Partition {
 	return &Partition{
-		scheme: scheme,
 		shards: shards,
 		index:  index,
 		blocks: make(map[string]*postings.Builder),
+		scan:   NewScanCount(scheme, shards),
 	}
 }
 
@@ -171,81 +149,21 @@ func (t *Partition) Profile(id entity.ID) *entity.Profile {
 // shard's slices of the keyed blocks and returns every local neighbor
 // with its weight and first-key discovery index, appended to dst (which
 // may be a reused buffer; the result aliases it). incs carries the
-// coordinator-computed per-key increment (SkipKey to skip), bi the
-// arrival's distinct-key count and nb the ECBS block-count term — the
-// global quantities a shard cannot know. maxWeighted, when positive,
-// prunes the result to the local top-K under the candidate ranking; the
-// FirstKey fields of a pruned result are meaningless (top-K selection
-// never needs discovery order).
+// coordinator-computed per-key increment (SkipKey to skip); bi, nb and
+// maxWeighted are ScanCount.Weigh's.
 func (t *Partition) Gather(keys []string, incs []float64, bi int, nb float64, maxWeighted int, dst []ShardCand) []ShardCand {
-	t.epoch++
-	epoch := t.epoch
-	cells := t.cells
-	neighbors := t.neighbors[:0]
+	t.scan.Begin()
 	for ki, k := range keys {
 		inc := incs[ki]
 		if inc == SkipKey {
 			continue
 		}
-		b := t.blocks[k]
-		if b == nil {
-			continue
-		}
-		t.members = b.AppendTo(t.members[:0])
-		for _, j := range t.members {
-			c := &cells[int(j)/t.shards]
-			if c.epoch != epoch {
-				c.epoch = epoch
-				c.common = inc
-				c.firstKey = int32(ki)
-				neighbors = append(neighbors, j)
-			} else {
-				c.common += inc
-			}
+		if b := t.blocks[k]; b != nil {
+			t.members = b.AppendTo(t.members[:0])
+			t.scan.Scan(ki, inc, t.members)
 		}
 	}
-	t.neighbors = neighbors
-	if len(neighbors) == 0 {
-		return dst[:0]
-	}
-	if maxWeighted > 0 {
-		t.topk.reset(maxWeighted)
-		for _, j := range neighbors {
-			t.topk.offer(Candidate{ID: j, Weight: t.weight(bi, nb, j)})
-		}
-		dst = dst[:0]
-		for _, c := range t.topk.cs {
-			dst = append(dst, ShardCand{Candidate: c})
-		}
-		return dst
-	}
-	dst = dst[:0]
-	for _, j := range neighbors {
-		dst = append(dst, ShardCand{
-			Candidate: Candidate{ID: j, Weight: t.weight(bi, nb, j)},
-			FirstKey:  t.cells[int(j)/t.shards].firstKey,
-		})
-	}
-	return dst
-}
-
-// weight evaluates the scheme for the arriving profile (bi keys, nb the
-// ECBS block-count term) against local neighbor j — the same expressions,
-// in the same order, as Resolver.weight.
-func (t *Partition) weight(bi int, nb float64, j entity.ID) float64 {
-	c := &t.cells[int(j)/t.shards]
-	common := c.common
-	bj := len(t.blocksOf[int(j)/t.shards])
-	switch t.scheme {
-	case core.ARCS, core.CBS:
-		return common
-	case core.ECBS:
-		return common * math.Log(nb/float64(bi)) * math.Log(nb/float64(bj))
-	case core.JS:
-		return common / (float64(bi) + float64(bj) - common)
-	default:
-		return common
-	}
+	return t.scan.Weigh(bi, nb, maxWeighted, dst)
 }
 
 // Commit homes a newly assigned profile on this partition: the profile and
@@ -264,7 +182,7 @@ func (t *Partition) Commit(id entity.ID, p entity.Profile, keys []string) error 
 	}
 	p.ID = id
 	t.profiles = append(t.profiles, p)
-	t.cells = append(t.cells, shardCell{})
+	t.scan.AddSlot(len(keys))
 	var kept []string
 	if len(keys) > 0 {
 		kept = make([]string, len(keys))
@@ -437,11 +355,11 @@ func (m *Merger) AboveMean(lists [][]ShardCand) []Candidate {
 	if len(all) == 0 {
 		return nil
 	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].FirstKey != all[b].FirstKey {
-			return all[a].FirstKey < all[b].FirstKey
+	slices.SortFunc(all, func(a, b ShardCand) int {
+		if c := cmp.Compare(a.FirstKey, b.FirstKey); c != 0 {
+			return c
 		}
-		return all[a].ID < all[b].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	var sum float64
 	for _, c := range all {

@@ -2,7 +2,7 @@
 // implementation of the meta-blocking pipeline, used only by tests.
 //
 // Every production implementation of the same math — Optimized Edge
-// Weighting (Alg. 3), its parallel shards, the MapReduce mirror — is
+// Weighting (Alg. 3) and its parallel shards — is
 // cross-checked against this package by the differential harness
 // (oracle_diff_test.go at the repository root) and the fuzz targets in
 // this package. The oracle favours clarity over speed: explicit block-list

@@ -35,8 +35,7 @@ func TestInjectedPanicFailsOneRequestOnly(t *testing.T) {
 		BatchWindow: 20 * time.Millisecond,
 		MaxBatch:    16,
 		QueueDepth:  64,
-		Fault:       inj,
-	})
+	}, WithFault(inj))
 	const n = 6
 	profiles := testProfiles(t, n+1)
 
@@ -100,8 +99,7 @@ func TestInjectedPanicHTTP500(t *testing.T) {
 		Resolver:   incremental.Config{Scheme: core.CBS},
 		MaxBatch:   1,
 		QueueDepth: 64,
-		Fault:      inj,
-	})
+	}, WithFault(inj))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -138,10 +136,9 @@ func TestDegradedModeServesReads(t *testing.T) {
 		Resolver:         incremental.Config{Scheme: core.JS, K: 5},
 		MaxBatch:         1, // one request per index pass: deterministic breaker stepping
 		QueueDepth:       64,
-		Fault:            inj,
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Minute,
-	}, WithClock(clk.now))
+	}, WithFault(inj), WithClock(clk.now))
 	profiles := testProfiles(t, 8)
 	ctx := context.Background()
 
@@ -210,10 +207,9 @@ func TestFailedProbeReopens(t *testing.T) {
 		Resolver:         incremental.Config{Scheme: core.CBS},
 		MaxBatch:         1,
 		QueueDepth:       64,
-		Fault:            inj,
 		BreakerThreshold: 1,
 		BreakerCooldown:  time.Minute,
-	}, WithClock(clk.now))
+	}, WithFault(inj), WithClock(clk.now))
 	profiles := testProfiles(t, 3)
 	ctx := context.Background()
 
@@ -363,6 +359,31 @@ func TestVersionMismatchReload422(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	assertReload422(t, path)
+}
+
+// TestRawGobReload422: a resolver artifact without the checksummed
+// container — the pre-container raw-gob format — is rejected like any
+// other corruption, never gob-decoded blind (the typed error is pinned by
+// store's TestRawGobWithoutContainerClassified).
+func TestRawGobReload422(t *testing.T) {
+	var raw bytes.Buffer
+	if err := store.WriteResolver(&raw, &incremental.Snapshot{
+		Config: incremental.Config{Scheme: core.JS},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "raw.snap")
+	if err := os.WriteFile(path, raw.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	assertReload422(t, path)
+}
+
+// assertReload422 reloads the artifact at path into a fresh JS server and
+// requires the 422 mapping plus exactly one corrupt-load count.
+func assertReload422(t *testing.T, path string) {
+	t.Helper()
 	s := newTestServer(t, Config{Resolver: incremental.Config{Scheme: core.JS}})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -374,7 +395,10 @@ func TestVersionMismatchReload422(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("version-mismatch reload status = %d, want 422", resp.StatusCode)
+		t.Fatalf("reload of %s: status %d, want 422", filepath.Base(path), resp.StatusCode)
+	}
+	if got := s.Metrics().Counter(CtrCorruptLoads).Value(); got != 1 {
+		t.Fatalf("corrupt_loads = %d, want 1", got)
 	}
 }
 
@@ -388,9 +412,8 @@ func TestRequestTimeout(t *testing.T) {
 		Resolver:       incremental.Config{Scheme: core.CBS},
 		MaxBatch:       1,
 		QueueDepth:     64,
-		Fault:          inj,
 		RequestTimeout: 50 * time.Millisecond,
-	})
+	}, WithFault(inj))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -66,14 +66,14 @@ func diskGroup(cfg Config, layout *store.DiskLayout, snap *incremental.Snapshot)
 			Size:         layout.Size,
 			CacheBytes:   cfg.DiskCacheBytes,
 			CompactAfter: cfg.DiskCompactAfter,
-			Metrics:      cfg.Metrics,
+			Metrics:      cfg.metrics,
 			WAL:          !cfg.WALDisabled,
 			// Reload replays a snapshot against the pre-reload lineage;
 			// logging those commits before the post-reload checkpoint
 			// exists would poison recovery, so the log opens at the first
 			// seal instead.
 			WALDefer: snap != nil,
-			Fault:    cfg.Fault,
+			Fault:    cfg.fault,
 		})
 		if err != nil {
 			layout.Close()

@@ -116,20 +116,6 @@ type Config struct {
 	// RetryAfter is the advisory client back-off sent with 429 responses.
 	// Default 1s.
 	RetryAfter time.Duration
-	// Metrics receives the server's counters; nil creates a private
-	// registry (exposed at /metrics either way).
-	//
-	// Deprecated: prefer the WithMetrics option to New. The field keeps
-	// working for one release; an option takes precedence when both are
-	// set.
-	Metrics *obs.Metrics
-	// Fault is consulted at the server's named fault sites (FaultResolve).
-	// Nil is a no-op: zero cost on the hot path.
-	//
-	// Deprecated: prefer the WithFault option to New. The field keeps
-	// working for one release; an option takes precedence when both are
-	// set.
-	Fault *fault.Injector
 	// RequestTimeout bounds each HTTP request handled by Handler with a
 	// per-request context deadline. Zero disables the deadline.
 	RequestTimeout time.Duration
@@ -192,26 +178,31 @@ type Config struct {
 	// Default 100ms.
 	WALSyncInterval time.Duration
 
-	// breakerNow overrides the breaker's clock in tests.
+	// metrics receives the server's counters (WithMetrics); nil creates
+	// a private registry, exposed at /metrics either way.
+	metrics *obs.Metrics
+	// fault is consulted at the server's named fault sites (WithFault).
+	// Nil is a no-op: zero cost on the hot path.
+	fault *fault.Injector
+	// breakerNow overrides the breaker's clock in tests (WithClock).
 	breakerNow func() time.Time
 }
 
-// Option adjusts a server at construction time — the home for
-// cross-cutting dependencies (metrics, fault injection, clocks) that
-// used to be Config fields, and for test-only hooks that never belonged
-// in the public struct.
+// Option adjusts a server at construction time — the only way in for
+// cross-cutting dependencies (metrics, fault injection) and test-only
+// hooks (clocks), none of which belong in the public struct.
 type Option func(*Config)
 
 // WithMetrics directs the server's counters and gauges into m.
 func WithMetrics(m *obs.Metrics) Option {
-	return func(c *Config) { c.Metrics = m }
+	return func(c *Config) { c.metrics = m }
 }
 
 // WithFault installs a fault injector, consulted at the server's named
 // sites (FaultResolve, and the per-shard shard.GatherSite /
 // shard.CommitSite when Shards > 1).
 func WithFault(in *fault.Injector) Option {
-	return func(c *Config) { c.Fault = in }
+	return func(c *Config) { c.fault = in }
 }
 
 // WithClock overrides the circuit breaker's time source — the test hook
@@ -262,8 +253,8 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.Metrics == nil {
-		c.Metrics = obs.NewMetrics()
+	if c.metrics == nil {
+		c.metrics = obs.NewMetrics()
 	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 5
@@ -371,9 +362,8 @@ type Server struct {
 
 // New validates the configuration, builds an empty serving index —
 // monolithic, or sharded behind the internal/shard coordinator when
-// cfg.Shards > 1 — and starts the batcher. Options apply after the
-// struct fields, so WithMetrics/WithFault/WithClock win over the
-// deprecated Config fields. Call Close to stop the server.
+// cfg.Shards > 1 — and starts the batcher. Call Close to stop the
+// server.
 func New(cfg Config, opts ...Option) (*Server, error) {
 	for _, opt := range opts {
 		opt(&cfg)
@@ -396,7 +386,7 @@ func New(cfg Config, opts ...Option) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
-		metrics:  cfg.Metrics,
+		metrics:  cfg.metrics,
 		resolver: r,
 		queue:    make(chan job, cfg.QueueDepth),
 		batchBuf: make([]job, 0, cfg.MaxBatch),
@@ -467,13 +457,13 @@ func newIndex(cfg Config) (incremental.Index, error) {
 // shard reply's weighed-neighbor count lands in budget.gathered as it
 // arrives (the single-index path mirrors this via LastWeighed in flush).
 func shardConfig(cfg Config) shard.Config {
-	gathered := cfg.Metrics.Counter(budget.CtrGathered)
+	gathered := cfg.metrics.Counter(budget.CtrGathered)
 	return shard.Config{
 		Resolver:       cfg.Resolver,
 		Shards:         cfg.Shards,
 		QueueDepth:     cfg.ShardQueueDepth,
-		Fault:          cfg.Fault,
-		Metrics:        cfg.Metrics,
+		Fault:          cfg.fault,
+		Metrics:        cfg.metrics,
 		MemtableBudget: cfg.MemtableBudget,
 		OnGather:       func(_, weighed int) { gathered.Add(int64(weighed)) },
 	}
@@ -985,7 +975,7 @@ func (s *Server) addOne(p entity.Profile) (res incremental.BatchResult, err erro
 			res, err = incremental.BatchResult{}, pe
 		}
 	}()
-	if err := s.cfg.Fault.Check(FaultResolve); err != nil {
+	if err := s.cfg.fault.Check(FaultResolve); err != nil {
 		return incremental.BatchResult{}, err
 	}
 	return s.resolver.Resolve(p)
@@ -1034,7 +1024,7 @@ func (s *Server) resumeOne(j job) (out jobResult) {
 	if !ok {
 		return jobResult{err: errors.New("server: backend does not support resume")}
 	}
-	if err := s.cfg.Fault.Check(FaultResolve); err != nil {
+	if err := s.cfg.fault.Check(FaultResolve); err != nil {
 		return jobResult{err: err}
 	}
 	cands, err := r.PeekExcluding(j.profile, j.exclude)

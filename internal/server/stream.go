@@ -293,7 +293,7 @@ func (s *Server) handleResolveStream(w http.ResponseWriter, req *http.Request, p
 
 	em := budget.Emitter{Batch: s.cfg.StreamBatch}
 	out, err := em.Emit(cands, contract, start, func(b []incremental.Candidate) error {
-		if ferr := s.cfg.Fault.Check(FaultStream); ferr != nil {
+		if ferr := s.cfg.fault.Check(FaultStream); ferr != nil {
 			return ferr
 		}
 		return sw.batch(b)

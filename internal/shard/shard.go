@@ -1,7 +1,7 @@
 // Package shard runs the incremental entity index as N hash-partitions
 // behind one scatter-gather coordinator — the horizontal axis of ROADMAP
-// item 1, and the online analogue of the paper's MapReduce meta-blocking
-// direction (ref [20], modeled offline in internal/mrmeta).
+// item 1, and with core.PruneParallel the living form of the parallel
+// meta-blocking direction the paper points to (ref [20]).
 //
 // Each partition (incremental.Partition) is owned by a single-writer
 // actor goroutine with a bounded mailbox gated by a token channel, so

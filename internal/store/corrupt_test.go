@@ -139,27 +139,22 @@ func TestWrongKindClassified(t *testing.T) {
 	}
 }
 
-// TestLegacyRawGobStillLoads: artifacts written before the container
-// format (bare gob via os.Create) stay loadable.
-func TestLegacyRawGobStillLoads(t *testing.T) {
-	want := testSnapshot(t)
-	path := filepath.Join(t.TempDir(), "legacy.snap")
-	f, err := os.Create(path)
-	if err != nil {
+// TestRawGobWithoutContainerClassified: a bare gob artifact (the
+// pre-container format, or any file that merely looks like one) is
+// corrupt — nothing reaches the gob decoder unverified.
+func TestRawGobWithoutContainerClassified(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "raw.snap")
+	var buf bytes.Buffer
+	if err := WriteResolver(&buf, testSnapshot(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteResolver(f, want); err != nil {
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadResolverFile(path)
-	if err != nil {
-		t.Fatalf("legacy artifact rejected: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("legacy round trip differs")
+	for _, load := range []func(string) (*incremental.Snapshot, error){LoadResolverFile, LoadAnyResolverFile} {
+		if _, err := load(path); !errors.Is(err, ErrCorruptArtifact) {
+			t.Fatalf("raw gob: %v, want ErrCorruptArtifact", err)
+		}
 	}
 }
 

@@ -11,9 +11,8 @@
 // fsynced — so a crash at any instant leaves either the previous artifact
 // or the new one at the final path, never a torn file. Loads verify the
 // checksum before a single byte reaches the gob decoder and classify
-// failures with the ErrCorruptArtifact / ErrVersionMismatch sentinels.
-// Files written before the container format was introduced load as
-// legacy raw-gob artifacts.
+// failures with the ErrCorruptArtifact / ErrVersionMismatch sentinels;
+// a file without the container magic is corrupt, never decoded blind.
 package store
 
 import (
@@ -413,9 +412,7 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 }
 
 // readFileVerified reads an artifact file and returns its gob payload
-// after checksum verification. Container-framed files are verified
-// end-to-end; files without the header magic are legacy raw-gob artifacts
-// and are returned whole (their gob envelope still guards kind/version).
+// after end-to-end checksum verification.
 func readFileVerified(path string) ([]byte, error) {
 	if err := inj().Check(FaultLoadRead); err != nil {
 		return nil, err
@@ -425,7 +422,7 @@ func readFileVerified(path string) ([]byte, error) {
 		return nil, err
 	}
 	if len(data) < 4 || !bytes.Equal(data[:4], headMagic[:]) {
-		return data, nil // legacy artifact: raw gob, no container
+		return nil, fmt.Errorf("store: %s: container magic missing: %w", path, ErrCorruptArtifact)
 	}
 	if len(data) < headerSize+footerSize {
 		return nil, fmt.Errorf("store: %s: container truncated to %d bytes: %w", path, len(data), ErrCorruptArtifact)
