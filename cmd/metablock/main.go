@@ -229,17 +229,22 @@ func readTruth(path string) (*mb.GroundTruth, error) {
 	return dataio.ReadGroundTruthCSV(f)
 }
 
+// writePairs writes the pairs to path (stdout when empty). A file's Close
+// error is returned too: a short write can surface only there, and the
+// run must not exit 0 over a truncated pairs file.
 func writePairs(path string, pairs []mb.Pair) error {
-	var w io.Writer = os.Stdout
-	if path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if path == "" {
+		return dataio.WritePairsCSV(os.Stdout, pairs)
 	}
-	return dataio.WritePairsCSV(w, pairs)
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := dataio.WritePairsCSV(f, pairs); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func parseDataset(s string) (mb.DatasetID, error) {

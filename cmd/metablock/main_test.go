@@ -103,6 +103,24 @@ func TestWritePairs(t *testing.T) {
 	}
 }
 
+// TestWritePairsErrors: a pairs file that cannot be created, or that
+// refuses the bytes, fails the run — it must not exit 0 over missing
+// output.
+func TestWritePairsErrors(t *testing.T) {
+	pairs := []mb.Pair{{A: 1, B: 2}}
+	if err := writePairs(filepath.Join(t.TempDir(), "no-such-dir", "out.csv"), pairs); err == nil {
+		t.Error("writePairs into a missing directory returned nil")
+	}
+	if err := writePairs(t.TempDir(), pairs); err == nil {
+		t.Error("writePairs onto a directory returned nil")
+	}
+	if _, err := os.Stat("/dev/full"); err == nil {
+		if err := writePairs("/dev/full", pairs); err == nil {
+			t.Error("writePairs to a full device returned nil")
+		}
+	}
+}
+
 func TestParsers(t *testing.T) {
 	if _, err := parseDataset("D2C"); err != nil {
 		t.Error(err)

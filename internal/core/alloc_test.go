@@ -47,3 +47,29 @@ func TestNodeTraversalAllocFree(t *testing.T) {
 		})
 	}
 }
+
+// TestSinglePassWNPAllocs pins the allocation profile of the single-pass
+// Reciprocal WNP: a warm call allocates its thresholds, its bucket and its
+// result — the bucket by append's geometric growth — and nothing per
+// node, so a graph of four times the nodes may cost a few growth steps
+// more, not hundreds of allocations.
+func TestSinglePassWNPAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are inflated under the race detector")
+	}
+	allocs := func(nodes int) float64 {
+		rng := rand.New(rand.NewSource(5))
+		g := NewGraph(randomDirtyBlocks(rng, nodes, nodes), CBS)
+		if len(g.PruneParallel(ReciprocalWNP, 1)) < nodes/2 { // warm-up: grows the scan scratch
+			t.Fatalf("%d nodes: too few pairs retained to tell per-node allocations", nodes)
+		}
+		return testing.AllocsPerRun(5, func() { g.PruneParallel(ReciprocalWNP, 1) })
+	}
+	small, large := allocs(100), allocs(400)
+	if small > 16 {
+		t.Errorf("100 nodes: %.0f allocations per warm call, want at most 16", small)
+	}
+	if large > small+10 {
+		t.Errorf("400 nodes: %.0f allocations per warm call against %.0f for 100 nodes: growing with the node count", large, small)
+	}
+}

@@ -117,9 +117,7 @@ func pruneTicks(a Algorithm, c *block.Collection) int64 {
 		return edge
 	case WEP:
 		return 2 * edge
-	case RedefinedWNP, ReciprocalWNP:
-		return node + edge
-	default: // CNP, WNP, RedefinedCNP, ReciprocalCNP: one node-centric pass
+	default: // the six node-centric algorithms: one node-centric pass
 		return node
 	}
 }

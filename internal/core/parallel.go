@@ -31,6 +31,12 @@ func (g *Graph) getScratch() *scanScratch {
 
 // forEachNodeRange is ForEachNode restricted to node IDs in [lo, hi).
 func (g *Graph) forEachNodeRange(lo, hi int, fn func(i entity.ID, neighbors []entity.ID, weights []float64)) {
+	g.scanNodeRange(lo, hi, false, fn)
+}
+
+// scanNodeRange visits the nodes of [lo, hi) in ascending or descending ID
+// order.
+func (g *Graph) scanNodeRange(lo, hi int, descending bool, fn func(i entity.ID, neighbors []entity.ID, weights []float64)) {
 	tick := obsTick{o: g.obs, m: g.meter}
 	var weighed int64
 	for id := lo; id < hi; id++ {
@@ -38,6 +44,9 @@ func (g *Graph) forEachNodeRange(lo, hi int, fn func(i entity.ID, neighbors []en
 			break
 		}
 		i := entity.ID(id)
+		if descending {
+			i = entity.ID(lo + hi - 1 - id)
+		}
 		if g.index.NumBlocks(i) == 0 {
 			continue
 		}
@@ -120,18 +129,22 @@ func (g *Graph) meanOf(xs []float64) float64 {
 // an empty chunk are not started, so fn may index per-worker buckets with
 // its worker argument directly.
 func (g *Graph) parallelRanges(workers int, fn func(w *Graph, worker, lo, hi int)) {
-	n := g.blocks.NumEntities
+	g.parallelRangesIn(0, g.blocks.NumEntities, workers, fn)
+}
+
+// parallelRangesIn is parallelRanges over the node IDs of [from, to).
+func (g *Graph) parallelRangesIn(from, to, workers int, fn func(w *Graph, worker, lo, hi int)) {
 	if workers <= 1 {
-		fn(g, 0, 0, n)
+		fn(g, 0, from, to)
 		return
 	}
 	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
+	chunk := (to - from + workers - 1) / workers
 	for w := 0; w < workers; w++ {
-		lo := w * chunk
+		lo := from + w*chunk
 		hi := lo + chunk
-		if hi > n {
-			hi = n
+		if hi > to {
+			hi = to
 		}
 		if lo >= hi {
 			break
@@ -531,23 +544,143 @@ func reduceMarkShard(marks [][][]pairMark, r int, reciprocal bool) []entity.Pair
 	return out
 }
 
+// wnpBucket is one worker's output of the single-pass Redefined/Reciprocal
+// WNP: one group per scanned node i, in scan order (descending i), holding
+// {A: i, B: j} ascending in j for every edge to a larger neighbor j that is
+// retained or still undecided.
+type wnpBucket struct {
+	pairs []entity.Pair
+	// pending lists the undecided entries of pairs: edges whose larger
+	// endpoint lies in another worker's range, so its threshold is only
+	// known after the barrier.
+	pending []pendingEdge
+}
+
+// pendingEdge is the edge at pairs[at], of weight w, that already met (or,
+// for Redefined WNP, failed) its smaller endpoint's threshold and is
+// retained iff w also meets the larger endpoint's.
+type pendingEdge struct {
+	at int
+	w  float64
+}
+
+// redefinedWNPParallel retains exactly what the two passes of Algorithm 5
+// retain (see redefinedWNP) in one ScanCount pass, and emits it in
+// canonical order without a global sort: every worker scans its ID range
+// downwards and decides each edge at its smaller endpoint i, so its pairs
+// all have A = i, the ranges are disjoint in A, and ordering the result
+// takes a sort of each node's few retained neighbors plus one reversed
+// copy of the buckets.
 func (g *Graph) redefinedWNPParallel(reciprocal bool, workers int) []entity.Pair {
-	thresholds := make([]float64, g.blocks.NumEntities)
-	g.parallelRanges(workers, func(w *Graph, _, lo, hi int) {
-		w.forEachNodeRange(lo, hi, func(i entity.ID, _ []entity.ID, weights []float64) {
-			thresholds[i] = w.meanOf(weights) // disjoint index ranges: no race
+	buckets, thresholds := g.wnpBuckets(reciprocal, workers)
+	total := 0
+	for b := range buckets {
+		total += len(buckets[b].pairs) - buckets[b].resolve(thresholds)
+	}
+	out := make([]entity.Pair, 0, total)
+	for b := range buckets {
+		out = buckets[b].appendAscending(out)
+	}
+	return out
+}
+
+// wnpBuckets runs the pass: per-worker buckets over ascending disjoint ID
+// ranges, and every neighborhood's threshold for resolving their pending
+// edges. For Clean-Clean ER every edge crosses Split, so the E2 side
+// settles its thresholds first and, after a barrier, the E1 side decides
+// all of its edges on the spot — nothing is left pending.
+func (g *Graph) wnpBuckets(reciprocal bool, workers int) ([]wnpBucket, []float64) {
+	n := g.blocks.NumEntities
+	thresholds := make([]float64, n)
+	buckets := make([]wnpBucket, workers)
+	to, knownFrom := n, n
+	if g.blocks.Task == entity.CleanClean {
+		to, knownFrom = g.blocks.Split, g.blocks.Split
+		g.parallelRangesIn(knownFrom, n, workers, func(w *Graph, _, lo, hi int) {
+			w.forEachNodeRange(lo, hi, func(i entity.ID, _ []entity.ID, weights []float64) {
+				thresholds[i] = w.meanOf(weights) // disjoint index ranges: no race
+			})
 		})
+	}
+	g.parallelRangesIn(0, to, workers, func(w *Graph, worker, lo, hi int) {
+		buckets[worker] = w.wnpDecideRange(lo, hi, knownFrom, reciprocal, thresholds)
 	})
-	buckets := make([][]entity.Pair, workers)
-	g.parallelRanges(workers, func(w *Graph, worker, lo, hi int) {
-		var local []entity.Pair
-		w.forEachEdgeRange(lo, hi, func(i, j entity.ID, wt float64) {
-			okI, okJ := wt >= thresholds[i], wt >= thresholds[j]
-			if (reciprocal && okI && okJ) || (!reciprocal && (okI || okJ)) {
-				local = append(local, entity.MakePair(i, j))
+	return buckets, thresholds
+}
+
+// wnpDecideRange scans the nodes of [lo, hi) downwards. At node i it
+// stores the exact threshold θi and handles every edge to a larger
+// neighbor j (edges to smaller ones are handled at j): when θj is known —
+// j was scanned earlier by this worker (j < hi) or in an earlier phase
+// (j ≥ knownFrom) — the edge is decided with the same >= tests as the
+// edge-centric pass of Alg. 5; otherwise it is kept, and listed as pending
+// if θj can still change its fate (Reciprocal: it met θi; Redefined: it
+// failed θi). thresholds is written only at [lo, hi) and read only where
+// known.
+func (g *Graph) wnpDecideRange(lo, hi, knownFrom int, reciprocal bool, thresholds []float64) wnpBucket {
+	var b wnpBucket
+	sc := g.sc
+	g.scanNodeRange(lo, hi, true, func(i entity.ID, neighbors []entity.ID, weights []float64) {
+		ti := g.meanOf(weights)
+		thresholds[i] = ti
+		// Kept neighbors as j<<32|n: sorting orders the group by j and
+		// keeps each edge's weight index n at hand.
+		keys := sc.keys[:0]
+		for n, j := range neighbors {
+			if j < i {
+				continue
 			}
-		})
-		buckets[worker] = local
+			okI, okJ := weights[n] >= ti, true // an unknown θj may yet be met
+			if int(j) < hi || int(j) >= knownFrom {
+				okJ = weights[n] >= thresholds[j]
+			}
+			if (reciprocal && okI && okJ) || (!reciprocal && (okI || okJ)) {
+				keys = append(keys, uint64(j)<<32|uint64(n))
+			}
+		}
+		slices.Sort(keys)
+		sc.keys = keys
+		pairs, pending := b.pairs, b.pending
+		for _, k := range keys {
+			j, w := entity.ID(k>>32), weights[uint32(k)]
+			if int(j) >= hi && int(j) < knownFrom && (w >= ti) == reciprocal {
+				pending = append(pending, pendingEdge{at: len(pairs), w: w})
+			}
+			pairs = append(pairs, entity.Pair{A: i, B: j})
+		}
+		b.pairs, b.pending = pairs, pending
 	})
-	return assembleRangeBuckets(buckets)
+	return b
+}
+
+// resolve decides the pending edges now that every threshold is known,
+// marks the ones that fail with B = -1 and returns how many it marked.
+func (b *wnpBucket) resolve(thresholds []float64) int {
+	dropped := 0
+	for _, p := range b.pending {
+		if e := &b.pairs[p.at]; !(p.w >= thresholds[e.B]) {
+			e.B = -1
+			dropped++
+		}
+	}
+	return dropped
+}
+
+// appendAscending appends the bucket's surviving pairs in canonical order:
+// the groups back to front (they were emitted in descending A), each
+// group front to back.
+func (b *wnpBucket) appendAscending(out []entity.Pair) []entity.Pair {
+	for end := len(b.pairs); end > 0; {
+		start := end - 1
+		for a := b.pairs[start].A; start > 0 && b.pairs[start-1].A == a; {
+			start--
+		}
+		for _, p := range b.pairs[start:end] {
+			if p.B >= 0 {
+				out = append(out, p)
+			}
+		}
+		end = start
+	}
+	return out
 }

@@ -231,20 +231,28 @@ func (g *Graph) redefinedCNP(reciprocal bool) []entity.Pair {
 	return collectMarks(marks, reciprocal)
 }
 
-// redefinedWNP implements Algorithm 5 (reciprocal=false) and Reciprocal
-// WNP (reciprocal=true): a node-centric pass derives every neighborhood's
-// weight threshold, then one edge-centric pass retains edges meeting the
-// threshold of either (OR) or both (AND) endpoints.
+// redefinedWNP retains what Algorithm 5 (reciprocal=false) and Reciprocal
+// WNP (reciprocal=true) retain — every edge meeting the mean-weight
+// threshold of either (OR) or both (AND) endpoints, once — in a single
+// node-centric pass instead of Alg. 5's two. Edge weights are bit-identical
+// from either endpoint (weightContext.weight canonicalizes its operands),
+// so an edge is decided at whichever endpoint is scanned second: nodes are
+// visited in ascending ID, so by then the smaller endpoint's threshold is
+// stored and the edge-centric pass has nothing left to do.
 func (g *Graph) redefinedWNP(reciprocal bool) []entity.Pair {
 	thresholds := make([]float64, g.blocks.NumEntities)
-	g.nodes(func(i entity.ID, _ []entity.ID, weights []float64) {
-		thresholds[i] = g.meanOf(weights)
-	})
 	var out []entity.Pair
-	g.edges(func(i, j entity.ID, w float64) {
-		okI, okJ := w >= thresholds[i], w >= thresholds[j]
-		if (reciprocal && okI && okJ) || (!reciprocal && (okI || okJ)) {
-			out = append(out, entity.MakePair(i, j))
+	g.nodes(func(i entity.ID, neighbors []entity.ID, weights []float64) {
+		ti := g.meanOf(weights)
+		thresholds[i] = ti
+		for n, j := range neighbors {
+			if j > i {
+				continue // decided when the scan reaches j
+			}
+			okI, okJ := weights[n] >= ti, weights[n] >= thresholds[j]
+			if (reciprocal && okI && okJ) || (!reciprocal && (okI || okJ)) {
+				out = append(out, entity.MakePair(i, j))
+			}
 		}
 	})
 	return out
@@ -260,4 +268,3 @@ func collectMarks(marks map[entity.Pair]uint8, reciprocal bool) []entity.Pair {
 	}
 	return out
 }
-

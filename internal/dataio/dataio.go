@@ -253,15 +253,22 @@ func ReadGroundTruthCSV(r io.Reader) (*entity.GroundTruth, error) {
 	return entity.NewGroundTruth(pairs), nil
 }
 
-// WritePairsCSV writes comparison pairs as id1,id2 lines.
+// WritePairsCSV writes comparison pairs as id1,id2 lines. IDs are
+// non-negative integers, which CSV never quotes, so the lines are
+// formatted directly — byte-identical to encoding/csv's output.
 func WritePairsCSV(w io.Writer, pairs []entity.Pair) error {
-	cw := csv.NewWriter(w)
-	defer cw.Flush()
+	// 64 KiB, not bufio's 4 KiB: a million-pair file is megabytes, and the
+	// write calls are a fifth of the time at the default size.
+	bw := bufio.NewWriterSize(w, 64<<10)
+	var line [2*len("-2147483648") + 2]byte
 	for _, p := range pairs {
-		if err := cw.Write([]string{strconv.Itoa(int(p.A)), strconv.Itoa(int(p.B))}); err != nil {
+		b := strconv.AppendInt(line[:0], int64(p.A), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(p.B), 10)
+		b = append(b, '\n')
+		if _, err := bw.Write(b); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return bw.Flush()
 }

@@ -2,7 +2,12 @@ package dataio
 
 import (
 	"bytes"
+	"encoding/csv"
+	"errors"
+	"math"
+	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -128,5 +133,73 @@ func TestWritePairsCSV(t *testing.T) {
 	}
 	if buf.String() != "1,2\n3,4\n" {
 		t.Fatalf("output = %q", buf.String())
+	}
+}
+
+// TestWritePairsCSVMatchesEncodingCSV holds the hand-formatted lines to
+// what encoding/csv writes for the same pairs, byte for byte, across the
+// whole ID range and more pairs than one buffer holds.
+func TestWritePairsCSVMatchesEncodingCSV(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	pairs := []entity.Pair{{A: 0, B: 0}, {A: 0, B: math.MaxInt32}, {A: math.MaxInt32, B: math.MaxInt32}}
+	for len(pairs) < 20000 {
+		a, b := rng.Int31(), rng.Int31()
+		if len(pairs)%2 == 0 {
+			a, b = a%1000, b%100000 // short and mixed-width IDs too
+		}
+		pairs = append(pairs, entity.Pair{A: a, B: b})
+	}
+	var want bytes.Buffer
+	cw := csv.NewWriter(&want)
+	for _, p := range pairs {
+		if err := cw.Write([]string{strconv.Itoa(int(p.A)), strconv.Itoa(int(p.B))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cw.Flush()
+	if err := cw.Error(); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := WritePairsCSV(&got, pairs); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("WritePairsCSV wrote %d bytes that differ from encoding/csv's %d", got.Len(), want.Len())
+	}
+}
+
+// failAfter accepts n bytes, then fails every write.
+type failAfter struct {
+	n   int
+	err error
+}
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		n := w.n
+		w.n = 0
+		return n, w.err
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestWritePairsCSVSurfacesWriteError: a writer that fails — at once, in
+// the middle of the stream, or only on the final flush — fails the call
+// with its error.
+func TestWritePairsCSVSurfacesWriteError(t *testing.T) {
+	boom := errors.New("disk full")
+	pairs := make([]entity.Pair, 50000) // ≈ 200 KB: several buffers
+	for i := range pairs {
+		pairs[i] = entity.Pair{A: int32(i), B: int32(i + 1)}
+	}
+	for _, accept := range []int{0, 100000} {
+		if err := WritePairsCSV(&failAfter{n: accept, err: boom}, pairs); !errors.Is(err, boom) {
+			t.Errorf("writer failing after %d bytes: got %v, want %v", accept, err, boom)
+		}
+	}
+	if err := WritePairsCSV(&failAfter{err: boom}, pairs[:1]); !errors.Is(err, boom) {
+		t.Errorf("writer failing on the final flush: got %v, want %v", err, boom)
 	}
 }
