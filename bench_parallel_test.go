@@ -111,4 +111,19 @@ func BenchmarkParallelStages(b *testing.B) {
 			})
 		}
 	}
+	// The graph-free workflow on the many-attribute shape (the repository
+	// benchmark's batch_graphfree): Block Filtering, then the count and
+	// fill passes of Comparison Propagation.
+	wide := BuildBlocks(datagen.D3D(0.5).Collection, TokenBlocking{}, 0)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("BlockFiltering+ComparisonPropagation/workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				filtered := blockproc.BlockFiltering{Ratio: 0.8, Workers: workers}.Apply(wide)
+				if len(blockproc.ComparisonPropagation{Workers: workers}.Apply(filtered)) == 0 {
+					b.Fatal("nothing retained")
+				}
+			}
+		})
+	}
 }

@@ -223,23 +223,27 @@ func BenchmarkAblationFilterThreshold(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationPropagation compares LeCoBI-based Comparison
-// Propagation against the direct hash-set strategy the paper deems
-// unusable at scale (§2).
+// BenchmarkAblationPropagation compares the node-centric ScanCount pass
+// of Comparison Propagation against ref [21]'s LeCoBI condition (one
+// block-list intersection per comparison) and the direct hash-set strategy
+// the paper deems unusable at scale (§2).
 func BenchmarkAblationPropagation(b *testing.B) {
 	d := benchDatasets(b)["D1C"]
-	b.Run("lecobi", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			blockproc.ComparisonPropagation{}.Apply(d.filtered)
-		}
-	})
-	b.Run("direct-hash", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			blockproc.ComparisonPropagation{}.ApplyDirect(d.filtered)
-		}
-	})
+	for _, row := range []struct {
+		name  string
+		apply func(*block.Collection) []Pair
+	}{
+		{"scancount", blockproc.ComparisonPropagation{}.Apply},
+		{"lecobi", blockproc.ComparisonPropagation{}.ApplyLeCoBI},
+		{"direct-hash", blockproc.ComparisonPropagation{}.ApplyDirect},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				row.apply(d.filtered)
+			}
+		})
+	}
 }
 
 // BenchmarkEntityIndex measures building the Entity Index, the shared

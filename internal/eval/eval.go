@@ -76,11 +76,34 @@ func EvaluateBlocks(c *block.Collection, gt *entity.GroundTruth, baseline int64)
 // meta-blocking pruning, Comparison Propagation or Graph-free
 // Meta-blocking). Comparisons counts list entries including repeated
 // pairs; Detected counts distinct ground-truth pairs.
+//
+// Each call copies and sorts the ground truth (gt.Pairs), O(|D| log |D|)
+// on top of the pass over pairs.
 func EvaluatePairs(pairs []entity.Pair, gt *entity.GroundTruth, baseline int64) Report {
+	// Nearly every retained pair has an endpoint with no duplicate at all:
+	// a flag per entity ID settles those without hashing the pair. The flags
+	// stop at the largest retained ID — a truth file can name IDs no profile
+	// has, and those can match nothing.
+	maxID := entity.ID(-1)
+	for _, p := range pairs {
+		maxID = max(maxID, p.A, p.B)
+	}
+	truth := gt.Pairs()
+	maxTruth := entity.ID(-1)
+	for _, p := range truth {
+		maxTruth = max(maxTruth, p.B)
+	}
+	inTruth := make([]bool, int(min(maxID, maxTruth))+1)
+	for _, p := range truth {
+		if p.A >= 0 && int(p.B) < len(inTruth) { // A < B
+			inTruth[p.A], inTruth[p.B] = true, true
+		}
+	}
+	flagged := func(id entity.ID) bool { return uint(id) < uint(len(inTruth)) && inTruth[id] }
 	seen := make(map[entity.Pair]struct{})
 	for _, p := range pairs {
-		if gt.Contains(p.A, p.B) {
-			seen[p] = struct{}{}
+		if flagged(p.A) && flagged(p.B) && gt.Contains(p.A, p.B) {
+			seen[entity.MakePair(p.A, p.B)] = struct{}{}
 		}
 	}
 	return Report{

@@ -72,6 +72,40 @@ func TestEvaluatePairsCountsRedundant(t *testing.T) {
 	}
 }
 
+// TestEvaluatePairsEntityFlags exercises the per-entity "has a duplicate"
+// shortcut in front of the ground-truth lookup: it must not change what
+// counts as detected.
+func TestEvaluatePairsEntityFlags(t *testing.T) {
+	gt := entity.NewGroundTruth([]entity.Pair{{A: 0, B: 1}, {A: 1, B: 4}, {A: 2, B: 3}})
+	for _, tc := range []struct {
+		name     string
+		gt       *entity.GroundTruth
+		pairs    []entity.Pair
+		detected int
+	}{
+		{"repeated and reversed entries count once", gt,
+			[]entity.Pair{{A: 0, B: 1}, {A: 1, B: 0}, {A: 0, B: 1}, {A: 4, B: 1}, {A: 3, B: 2}, {A: 2, B: 3}}, 3},
+		{"both endpoints flagged but not a duplicate pair", gt,
+			[]entity.Pair{{A: 0, B: 4}, {A: 1, B: 2}, {A: 3, B: 4}, {A: 0, B: 1}}, 1},
+		{"IDs above the largest ground-truth ID", gt,
+			[]entity.Pair{{A: 4, B: 5}, {A: 900, B: 901}, {A: 1, B: 1 << 30}, {A: 1, B: 4}}, 1},
+		{"empty ground truth", entity.NewGroundTruth(nil),
+			[]entity.Pair{{A: 0, B: 1}, {A: 2, B: 3}}, 0},
+		{"empty pairs", gt, nil, 0},
+		{"negative IDs in the ground truth", entity.NewGroundTruth([]entity.Pair{{A: -1, B: 2}, {A: -3, B: -2}, {A: 2, B: 5}}),
+			[]entity.Pair{{A: 2, B: 5}, {A: 1, B: 2}}, 1},
+		// The flags are sized by the retained IDs, not by a stray truth line.
+		{"ground-truth IDs far above every retained ID", entity.NewGroundTruth([]entity.Pair{{A: 0, B: 1}, {A: 0, B: 1<<31 - 1}, {A: 1<<31 - 2, B: 1<<31 - 1}}),
+			[]entity.Pair{{A: 0, B: 1}, {A: 0, B: 3}}, 1},
+	} {
+		r := EvaluatePairs(tc.pairs, tc.gt, 100)
+		if r.Detected != tc.detected || r.Comparisons != int64(len(tc.pairs)) || r.Duplicates != tc.gt.Size() {
+			t.Errorf("%s: detected %d of %d duplicates in %d comparisons, want %d of %d in %d",
+				tc.name, r.Detected, r.Duplicates, r.Comparisons, tc.detected, tc.gt.Size(), len(tc.pairs))
+		}
+	}
+}
+
 type constSim float64
 
 func (s constSim) Similarity(_, _ entity.ID) float64 { return float64(s) }

@@ -227,7 +227,8 @@ type Pipeline struct {
 	// (0, 1]; the paper's tuned pre-processing value is 0.8.
 	FilterRatio float64
 	// GraphFree skips the blocking graph entirely (Figure 7(b)): Block
-	// Filtering (FilterRatio) followed by Comparison Propagation.
+	// Filtering (FilterRatio) followed by Comparison Propagation. Pairs
+	// come out with A ascending, identically for any Workers.
 	GraphFree bool
 	// Scheme is the edge-weighting scheme (zero value: ARCS).
 	Scheme Scheme
@@ -243,9 +244,10 @@ type Pipeline struct {
 	CompressedIndex bool
 	// Workers parallelizes every stage of the pipeline — blocking (for the
 	// sharded methods: Token, Q-grams, Suffix Arrays, Extended Q-grams),
-	// Block Filtering, graph construction and pruning: 0 = serial,
-	// negative = one worker per CPU, positive = that many workers. Every
-	// stage produces bit-identical output for any worker count. Parallel
+	// Block Filtering, graph construction and pruning, or the graph-free
+	// workflow's Comparison Propagation: 0 = serial, negative = one worker
+	// per CPU, positive = that many workers. Every stage produces
+	// bit-identical output for any worker count. Parallel
 	// pruning always uses Optimized Edge Weighting. A blocking method whose
 	// own Workers field is already non-zero keeps it.
 	Workers int
@@ -297,7 +299,8 @@ type Stages struct {
 	// Graph is the time spent building the blocking graph (Entity Index
 	// and, for EJS, the degree pass).
 	Graph time.Duration
-	// Prune is the time spent pruning the graph's edges.
+	// Prune is the time spent pruning the graph's edges or, for a
+	// graph-free run, in Comparison Propagation.
 	Prune time.Duration
 }
 
@@ -381,16 +384,28 @@ func (p Pipeline) RunContext(ctx context.Context, c *Collection, opts ...RunOpti
 	o.Counter(obs.CtrPurgeBlocks).Add(int64(blocks.Len()))
 	o.Counter(obs.CtrPurgeComparisons).Add(blocks.Comparisons())
 	if p.GraphFree {
+		// RR of a graph-free run is reported against the purged blocks, so
+		// the filter.* counters describe the input of Block Filtering here.
 		res.InputBlocks = blocks.Len()
 		res.InputComparisons = blocks.Comparisons()
 		o.Counter(obs.CtrFilterBlocks).Add(int64(res.InputBlocks))
 		o.Counter(obs.CtrFilterComparisons).Add(res.InputComparisons)
-		endSpan = o.StartSpan(obs.StagePrune)
-		res.Pairs = blockproc.GraphFreeMetaBlocking{Ratio: p.FilterRatio}.Apply(blocks)
+		endSpan = o.StartSpan(obs.StageFilter)
+		blocks = blockproc.BlockFiltering{Ratio: p.FilterRatio, Workers: p.Workers, Obs: o}.Apply(blocks)
 		endSpan()
+		if err := o.Err(); err != nil {
+			return nil, err
+		}
+		res.Stages.Filtering = time.Since(start)
+		endSpan = o.StartSpan(obs.StagePrune)
+		res.Pairs = blockproc.ComparisonPropagation{Workers: p.Workers, Obs: o}.Apply(blocks)
+		endSpan()
+		if err := o.Err(); err != nil {
+			return nil, err
+		}
 		o.Counter(obs.CtrPairsRetained).Add(int64(len(res.Pairs)))
 		res.OTime = time.Since(start)
-		res.Stages.Prune = res.OTime
+		res.Stages.Prune = res.OTime - res.Stages.Filtering
 		res.Metrics = o.Snapshot()
 		return res, nil
 	}

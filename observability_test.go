@@ -55,47 +55,55 @@ func TestRunContextImmediateCancel(t *testing.T) {
 
 // TestRunContextCancelMidPrune cancels the run from the first prune-stage
 // progress callback and verifies it returns promptly with context.Canceled,
-// discards partial output, and leaks no goroutines.
+// discards partial output, and leaks no goroutines — for graph-based
+// pruning and for the graph-free workflow's Comparison Propagation.
 func TestRunContextCancelMidPrune(t *testing.T) {
 	ds := GenerateDataset(D2C, 0.5)
-	before := runtime.NumGoroutine()
+	for name, p := range map[string]Pipeline{
+		"graph":             {FilterRatio: 0.8, Scheme: ECBS, Algorithm: ReciprocalWNP, Workers: -1},
+		"graph-free":        {FilterRatio: 0.8, GraphFree: true, Workers: -1},
+		"graph-free-serial": {FilterRatio: 0.8, GraphFree: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var pruneSeen atomic.Bool
-	start := time.Now()
-	res, err := Pipeline{FilterRatio: 0.8, Scheme: ECBS, Algorithm: ReciprocalWNP, Workers: -1}.
-		RunContext(ctx, ds.Collection, WithProgress(func(stage string, done, total int64) {
-			if stage == "prune" && pruneSeen.CompareAndSwap(false, true) {
-				cancel()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var pruneSeen atomic.Bool
+			start := time.Now()
+			res, err := p.RunContext(ctx, ds.Collection, WithProgress(func(stage string, done, total int64) {
+				if stage == "prune" && pruneSeen.CompareAndSwap(false, true) {
+					cancel()
+				}
+			}))
+			elapsed := time.Since(start)
+			if !pruneSeen.Load() {
+				t.Fatal("prune stage reported no progress; cannot cancel mid-prune")
 			}
-		}))
-	elapsed := time.Since(start)
-	if !pruneSeen.Load() {
-		t.Fatal("prune stage reported no progress; cannot cancel mid-prune")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got err %v, want context.Canceled", err)
-	}
-	if res != nil {
-		t.Fatalf("got non-nil result alongside cancellation")
-	}
-	// Bounded return: cancellation is polled once per stride, so the abort
-	// should be far quicker than finishing the prune would be.
-	if elapsed > 30*time.Second {
-		t.Fatalf("cancellation took %v", elapsed)
-	}
-	// No goroutine leaks: every worker drains via wg.Wait, so the count
-	// settles back to (about) where it started.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if runtime.NumGoroutine() <= before+2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines did not settle: before=%d now=%d", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("got err %v, want context.Canceled", err)
+			}
+			if res != nil {
+				t.Fatalf("got non-nil result alongside cancellation")
+			}
+			// Bounded return: cancellation is polled once per stride, so the abort
+			// should be far quicker than finishing the prune would be.
+			if elapsed > 30*time.Second {
+				t.Fatalf("cancellation took %v", elapsed)
+			}
+			// No goroutine leaks: every worker drains via wg.Wait, so the count
+			// settles back to (about) where it started.
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				if runtime.NumGoroutine() <= before+2 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines did not settle: before=%d now=%d", before, runtime.NumGoroutine())
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }
 
@@ -291,6 +299,54 @@ func TestGraphFreeMetrics(t *testing.T) {
 	}
 	if got := res.Metrics.Counter("prune.pairs"); got != int64(len(res.Pairs)) {
 		t.Errorf("prune.pairs %d != len(Pairs) %d", got, len(res.Pairs))
+	}
+}
+
+// TestGraphFreeDeterminism is TestMetricsDeterminism for the graph-free
+// workflow: the retained pairs — element for element, not only as a set —
+// and every counter are identical serial or parallel, observed or not, and
+// the filter and prune stages are both bracketed by the span hooks.
+func TestGraphFreeDeterminism(t *testing.T) {
+	ds := GenerateDataset(D2C, 0.15)
+	var refPairs []Pair
+	var refCounters map[string]int64
+	for _, workers := range []int{0, 1, 3} {
+		for _, observed := range []bool{false, true} {
+			p := Pipeline{GraphFree: true, FilterRatio: 0.55, Workers: workers}
+			var opts []RunOption
+			var stages []string
+			if observed {
+				opts = append(opts, WithMetrics(NewMetrics()),
+					WithSpanHooks(func(stage string) { stages = append(stages, stage) }, nil))
+			}
+			res, err := p.RunContext(context.Background(), ds.Collection, opts...)
+			if err != nil {
+				t.Fatalf("workers %d observed %v: %v", workers, observed, err)
+			}
+			if refPairs == nil {
+				refPairs = res.Pairs
+			} else if !reflect.DeepEqual(res.Pairs, refPairs) {
+				t.Errorf("workers %d observed %v: pairs differ from reference", workers, observed)
+			}
+			if res.Stages.Filtering <= 0 || res.Stages.Prune <= 0 || res.Stages.Filtering+res.Stages.Prune != res.OTime {
+				t.Errorf("workers %d: stages filtering=%v prune=%v do not split OTime %v",
+					workers, res.Stages.Filtering, res.Stages.Prune, res.OTime)
+			}
+			if !observed {
+				continue
+			}
+			if want := []string{"blocking", "purge", "filter", "prune"}; !reflect.DeepEqual(stages, want) {
+				t.Errorf("workers %d: span stages %v, want %v", workers, stages, want)
+			}
+			if refCounters == nil {
+				refCounters = res.Metrics.Counters
+			} else if !reflect.DeepEqual(res.Metrics.Counters, refCounters) {
+				t.Errorf("workers %d: counters %v differ from reference %v", workers, res.Metrics.Counters, refCounters)
+			}
+		}
+	}
+	if len(refPairs) == 0 || refCounters["prune.pairs"] != int64(len(refPairs)) {
+		t.Errorf("prune.pairs %d, %d pairs retained", refCounters["prune.pairs"], len(refPairs))
 	}
 }
 
