@@ -89,13 +89,13 @@ func BenchmarkParallelStages(b *testing.B) {
 			}
 		})
 	}
-	// Graph construction plus pruning for the Redefined/Reciprocal WNP pair
+	// Graph construction plus pruning for the six node-centric algorithms
 	// on the filtered blocks, at the worker counts the bench host has CPUs
 	// for. edges_weighted/op shows the pass count: 2·|E| for the single
-	// node-centric pass at every worker count (Alg. 5's two passes cost
-	// 3·|E|).
+	// node-centric pass, whatever the algorithm and worker count (the two
+	// passes of Algs. 4/5 cost 3·|E|).
 	filtered := blockproc.BlockFiltering{Ratio: 0.8}.Apply(blocks)
-	for _, alg := range []Algorithm{RedefinedWNP, ReciprocalWNP} {
+	for _, alg := range []Algorithm{CNP, RedefinedCNP, ReciprocalCNP, WNP, RedefinedWNP, ReciprocalWNP} {
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("graph+prune/%v/workers=%d", alg, workers), func(b *testing.B) {
 				b.ReportAllocs()

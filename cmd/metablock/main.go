@@ -198,6 +198,11 @@ func loadInput(input, truth, dataset string, scale float64) (*mb.Collection, *mb
 			if err != nil {
 				return nil, nil, err
 			}
+			// A pair no comparison can ever match would inflate |D(E)|
+			// and deflate the reported PC.
+			if err := gt.Validate(c); err != nil {
+				return nil, nil, fmt.Errorf("%s: %w", truth, err)
+			}
 		}
 		return c, gt, nil
 	default:

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"flag"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -86,6 +88,67 @@ func TestReadTruth(t *testing.T) {
 	bad := writeFile(t, "bad.csv", "x,y\n")
 	if _, err := readTruth(bad); err == nil {
 		t.Error("bad truth accepted")
+	}
+
+	// A truth file that parses but does not fit -input is rejected with
+	// GroundTruth.Validate's message, and the run exits non-zero.
+	dirty := writeFile(t, "dirty.csv", "id,source,attribute,value\n0,1,name,a\n1,1,name,a b\n2,1,name,b\n")
+	clean := writeFile(t, "clean.csv", "id,source,attribute,value\n0,1,name,a\n1,2,name,a b\n2,2,name,b\n")
+	for name, tc := range map[string]struct{ input, truth, want string }{
+		"reflexive":    {dirty, "1,1\n", "ground truth pair (1,1) is reflexive"},
+		"out of range": {dirty, "0,1\n2,5\n", "ground truth pair (2,5) out of range [0,3)"},
+		"same side":    {clean, "0,1\n1,2\n", "clean-clean ground truth pair does not cross the collection split"},
+	} {
+		truth := writeFile(t, "truth.csv", tc.truth)
+		if _, _, err := loadInput(tc.input, truth, "", 1); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: loadInput error %v, want %q", name, err, tc.want)
+		}
+		out := filepath.Join(t.TempDir(), "pairs.csv")
+		if err := runMain(t, "-input", tc.input, "-truth", truth, "-output", out); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: run error %v, want %q", name, err, tc.want)
+		}
+	}
+	good := writeFile(t, "truth.csv", "0,1\n")
+	if _, gt, err := loadInput(clean, good, "", 1); err != nil || gt.Size() != 1 {
+		t.Errorf("valid truth rejected: %v", err)
+	}
+}
+
+// runMain drives run with the given command line, as main would: run
+// registers its flags on flag.CommandLine and parses os.Args.
+func runMain(t *testing.T, args ...string) error {
+	t.Helper()
+	oldArgs, oldFlags := os.Args, flag.CommandLine
+	defer func() { os.Args, flag.CommandLine = oldArgs, oldFlags }()
+	os.Args = append([]string{"metablock"}, args...)
+	flag.CommandLine = flag.NewFlagSet("metablock", flag.ContinueOnError)
+	return run()
+}
+
+// TestSerialRunsByteIdentical: the fully serial pipeline writes the same
+// file on every run — Redefined/Reciprocal CNP emit in node order, not in
+// the iteration order of a hash map.
+func TestSerialRunsByteIdentical(t *testing.T) {
+	for _, alg := range []string{"reciprocal-cnp", "redefined-cnp"} {
+		var first []byte
+		for r := 0; r < 3; r++ {
+			out := filepath.Join(t.TempDir(), "pairs.csv")
+			if err := runMain(t, "-dataset", "d2d", "-scale", "0.05", "-workers", "0", "-algorithm", alg, "-output", out); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) == 0 {
+				t.Fatalf("%s: empty pairs file", alg)
+			}
+			if r == 0 {
+				first = got
+			} else if !bytes.Equal(got, first) {
+				t.Fatalf("%s: run %d wrote a different file than run 1", alg, r+1)
+			}
+		}
 	}
 }
 

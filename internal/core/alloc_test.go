@@ -48,28 +48,36 @@ func TestNodeTraversalAllocFree(t *testing.T) {
 	}
 }
 
-// TestSinglePassWNPAllocs pins the allocation profile of the single-pass
-// Reciprocal WNP: a warm call allocates its thresholds, its bucket and its
-// result — the bucket by append's geometric growth — and nothing per
+// TestSinglePassWNPAllocs pins the allocation profile of the node-centric
+// pass, weight- and cardinality-based, parallel and serial: a warm call
+// allocates its thresholds, its top-k heap, its bucket and its result —
+// bucket and serial result by append's geometric growth — and nothing per
 // node, so a graph of four times the nodes may cost a few growth steps
 // more, not hundreds of allocations.
 func TestSinglePassWNPAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are inflated under the race detector")
 	}
-	allocs := func(nodes int) float64 {
-		rng := rand.New(rand.NewSource(5))
-		g := NewGraph(randomDirtyBlocks(rng, nodes, nodes), CBS)
-		if len(g.PruneParallel(ReciprocalWNP, 1)) < nodes/2 { // warm-up: grows the scan scratch
-			t.Fatalf("%d nodes: too few pairs retained to tell per-node allocations", nodes)
+	for _, alg := range []Algorithm{ReciprocalWNP, ReciprocalCNP} {
+		for name, prune := range map[string]func(g *Graph) []entity.Pair{
+			"PruneParallel(1)": func(g *Graph) []entity.Pair { return g.PruneParallel(alg, 1) },
+			"Prune":            func(g *Graph) []entity.Pair { return g.Prune(alg) },
+		} {
+			allocs := func(nodes int) float64 {
+				rng := rand.New(rand.NewSource(5))
+				g := NewGraph(randomDirtyBlocks(rng, nodes, nodes), CBS)
+				if len(prune(g)) < nodes/4 { // warm-up: grows the scan scratch
+					t.Fatalf("%v %s, %d nodes: too few pairs retained to tell per-node allocations", alg, name, nodes)
+				}
+				return testing.AllocsPerRun(5, func() { prune(g) })
+			}
+			small, large := allocs(100), allocs(400)
+			if small > 16 {
+				t.Errorf("%v %s, 100 nodes: %.0f allocations per warm call, want at most 16", alg, name, small)
+			}
+			if large > small+10 {
+				t.Errorf("%v %s, 400 nodes: %.0f allocations per warm call against %.0f for 100 nodes: growing with the node count", alg, name, large, small)
+			}
 		}
-		return testing.AllocsPerRun(5, func() { g.PruneParallel(ReciprocalWNP, 1) })
-	}
-	small, large := allocs(100), allocs(400)
-	if small > 16 {
-		t.Errorf("100 nodes: %.0f allocations per warm call, want at most 16", small)
-	}
-	if large > small+10 {
-		t.Errorf("400 nodes: %.0f allocations per warm call against %.0f for 100 nodes: growing with the node count", large, small)
 	}
 }

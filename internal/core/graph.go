@@ -35,8 +35,9 @@ type Graph struct {
 	// sc is this graph's private traversal scratch; shards get their own.
 	sc *scanScratch
 	// scratchPool recycles shard scratch across parallel passes — a
-	// multi-pass algorithm (WEP, Clean-Clean Redefined WNP) reuses the same
-	// per-worker cell arrays instead of reallocating |E| cells every pass.
+	// multi-pass algorithm (WEP, the two Clean-Clean phases of the
+	// node-centric pass) reuses the same per-worker cell arrays instead of
+	// reallocating |E| cells every pass.
 	scratchPool *sync.Pool
 
 	// obs carries the run's observability handle (cancellation polls and
@@ -67,8 +68,8 @@ type scanScratch struct {
 	neighbors []entity.ID
 	weights   []float64
 	meanAcc   floatsum.Acc
-	// keys holds one node's retained neighbors while the single-pass
-	// Redefined/Reciprocal WNP sorts them.
+	// keys holds one node's retained slots while the parallel node-centric
+	// pass sorts them.
 	keys []uint64
 	// blist/blistB are decode buffers for the compressed Entity Index;
 	// unused (nil) while the index serves flat views.

@@ -10,7 +10,9 @@ type weightedEdge struct {
 
 // edgeHeap is a bounded min-heap over edge weights: offering more than cap
 // edges evicts the lightest, leaving the top-cap weighted edges. It is the
-// "sorted stack" of Algorithm 4 and the global top-K store of CEP.
+// global top-K store of CEP and, as the "sorted stack" of Algorithm 4, ranks
+// one neighborhood at a time for the CNP family, whose per-node criterion is
+// its root (see thresholdOf).
 type edgeHeap struct {
 	items []weightedEdge
 	cap   int
@@ -28,6 +30,8 @@ func (h *edgeHeap) reset() { h.items = h.items[:0] }
 // the lexicographically smaller canonical pair. Top-K selection under a
 // total order is independent of traversal order, so CEP and CNP return the
 // same sets whichever edge-weighting implementation enumerated the edges.
+// Among the edges of one node the order is (weight descending, neighbor
+// ascending), which is what lets a nodeThreshold stand for the whole heap.
 func (e weightedEdge) beats(o weightedEdge) bool {
 	if e.w != o.w {
 		return e.w > o.w

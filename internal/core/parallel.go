@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 
@@ -165,7 +166,8 @@ func (g *Graph) parallelRangesIn(from, to, workers int, fn func(w *Graph, worker
 // comparisons as Prune, in a canonical order. It supports the Optimized
 // Edge Weighting only; node-centric sharding by ID range keeps every
 // neighborhood on one worker, so the per-node criteria are computed exactly
-// as in the serial implementation.
+// as in the serial implementation. The original CNP/WNP's redundant
+// comparisons come out adjacent.
 func (g *Graph) PruneParallel(a Algorithm, workers int) []entity.Pair {
 	if workers == 0 {
 		workers = -1 // historical PruneParallel convention: 0 = GOMAXPROCS
@@ -177,30 +179,11 @@ func (g *Graph) PruneParallel(a Algorithm, workers int) []entity.Pair {
 		return g.cepParallel(workers)
 	case WEP:
 		return g.wepParallel(workers)
-	case CNP:
-		return g.cnpParallel(workers)
-	case WNP:
-		return g.wnpParallel(workers)
-	case RedefinedCNP:
-		return g.redefinedCNPParallel(false, workers)
-	case ReciprocalCNP:
-		return g.redefinedCNPParallel(true, workers)
-	case RedefinedWNP:
-		return g.redefinedWNPParallel(false, workers)
-	case ReciprocalWNP:
-		return g.redefinedWNPParallel(true, workers)
+	case CNP, WNP, RedefinedCNP, ReciprocalCNP, RedefinedWNP, ReciprocalWNP:
+		return g.nodeCentricParallel(a, workers)
 	default:
-		out := g.Prune(a)
-		sortPairs(out)
-		return out
+		panic(fmt.Sprintf("core: unknown pruning algorithm %d", int(a)))
 	}
-}
-
-func pairLess(p, q entity.Pair) bool {
-	if p.A != q.A {
-		return p.A < q.A
-	}
-	return p.B < q.B
 }
 
 func comparePairs(p, q entity.Pair) int {
@@ -246,8 +229,8 @@ func sortPairs(pairs []entity.Pair) {
 }
 
 // assembleRangeBuckets turns per-worker buckets produced from disjoint
-// ascending emitting-endpoint ranges (forEachEdgeRange, the mark reducers)
-// into one canonically ordered slice: each bucket is sorted concurrently,
+// ascending emitting-endpoint ranges (forEachEdgeRange) into one
+// canonically ordered slice: each bucket is sorted concurrently,
 // and because bucket b's pairs all have smaller A than bucket b+1's, the
 // sorted buckets concatenate into a globally sorted result — no k-way
 // merge and no global sort.
@@ -262,76 +245,6 @@ func assembleRangeBuckets(buckets [][]entity.Pair) []entity.Pair {
 		out = append(out, b...)
 	}
 	return out
-}
-
-// assembleNodeBuckets merges per-worker buckets whose pairs may interleave
-// across the whole ID space (node-centric traversals emit MakePair(i, j)
-// with j on either side of the worker's range): each bucket is sorted
-// concurrently, then adjacent runs are merged pairwise — also
-// concurrently — into ping-pong buffers until one sorted run remains.
-func assembleNodeBuckets(buckets [][]entity.Pair) []entity.Pair {
-	sortBucketsConcurrently(buckets)
-
-	// Pack the sorted buckets into one backing array, tracking run bounds.
-	total := 0
-	runs := make([]int, 0, len(buckets)+1)
-	runs = append(runs, 0)
-	for _, b := range buckets {
-		if len(b) > 0 {
-			total += len(b)
-			runs = append(runs, total)
-		}
-	}
-	cur := make([]entity.Pair, total)
-	{
-		off := 0
-		for _, b := range buckets {
-			off += copy(cur[off:], b)
-		}
-	}
-	if len(runs) <= 2 {
-		return cur
-	}
-	tmp := make([]entity.Pair, total)
-	for len(runs) > 2 {
-		nextRuns := make([]int, 0, len(runs)/2+2)
-		nextRuns = append(nextRuns, 0)
-		var thunks []func()
-		for i := 0; i+2 < len(runs); i += 2 {
-			lo, mid, hi := runs[i], runs[i+1], runs[i+2]
-			nextRuns = append(nextRuns, hi)
-			thunks = append(thunks, func() {
-				mergePairRuns(tmp[lo:hi], cur[lo:mid], cur[mid:hi])
-			})
-		}
-		if len(runs)%2 == 0 { // odd run count: copy the trailing run over
-			lo, hi := runs[len(runs)-2], runs[len(runs)-1]
-			nextRuns = append(nextRuns, hi)
-			thunks = append(thunks, func() { copy(tmp[lo:hi], cur[lo:hi]) })
-		}
-		par.Do(thunks...)
-		cur, tmp = tmp, cur
-		runs = nextRuns
-	}
-	return cur
-}
-
-// mergePairRuns merges the two sorted runs a and b into dst
-// (len(dst) == len(a)+len(b)), preferring a on ties.
-func mergePairRuns(dst, a, b []entity.Pair) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if pairLess(b[j], a[i]) {
-			dst[k] = b[j]
-			j++
-		} else {
-			dst[k] = a[i]
-			i++
-		}
-		k++
-	}
-	k += copy(dst[k:], a[i:])
-	copy(dst[k:], b[j:])
 }
 
 // sortBucketsConcurrently sorts every bucket canonically, one goroutine per
@@ -416,163 +329,33 @@ func (g *Graph) cepParallel(workers int) []entity.Pair {
 	return out
 }
 
-func (g *Graph) cnpParallel(workers int) []entity.Pair {
-	k := g.CardinalityNodeThreshold()
-	buckets := make([][]entity.Pair, workers)
-	g.parallelRanges(workers, func(w *Graph, worker, lo, hi int) {
-		h := newEdgeHeap(k)
-		var local []entity.Pair
-		w.forEachNodeRange(lo, hi, func(i entity.ID, neighbors []entity.ID, weights []float64) {
-			h.reset()
-			for n, j := range neighbors {
-				h.offer(weights[n], i, j)
-			}
-			for _, e := range h.items {
-				local = append(local, entity.MakePair(e.i, e.j))
-			}
-		})
-		buckets[worker] = local
-	})
-	return assembleNodeBuckets(buckets)
-}
-
-func (g *Graph) wnpParallel(workers int) []entity.Pair {
-	buckets := make([][]entity.Pair, workers)
-	g.parallelRanges(workers, func(w *Graph, worker, lo, hi int) {
-		var local []entity.Pair
-		w.forEachNodeRange(lo, hi, func(i entity.ID, neighbors []entity.ID, weights []float64) {
-			threshold := w.meanOf(weights)
-			for n, j := range neighbors {
-				if weights[n] >= threshold {
-					local = append(local, entity.MakePair(i, j))
-				}
-			}
-		})
-		buckets[worker] = local
-	})
-	return assembleNodeBuckets(buckets)
-}
-
-// pairMark is one endpoint's vote for a pair: bit 1 when the smaller
-// endpoint ranked the edge in its top-k, bit 2 when the larger one did.
-type pairMark struct {
-	p entity.Pair
-	m uint8
-}
-
-// redefinedCNPParallel implements the Redefined (OR) and Reciprocal (AND)
-// CNP variants with sharded mark accumulation instead of a global hash
-// map: finder workers emit per-reducer mark lists partitioned by the
-// pair's canonical A, and each reducer sorts its shard and merges mark
-// runs in one pass. Reducer shards cover disjoint ascending A ranges, so
-// their outputs concatenate into the canonical global order.
-func (g *Graph) redefinedCNPParallel(reciprocal bool, workers int) []entity.Pair {
-	k := g.CardinalityNodeThreshold()
-	n := g.blocks.NumEntities
-	reducers := workers
-	marks := make([][][]pairMark, workers)
-	g.parallelRanges(workers, func(w *Graph, worker, lo, hi int) {
-		local := make([][]pairMark, reducers)
-		h := newEdgeHeap(k)
-		w.forEachNodeRange(lo, hi, func(i entity.ID, neighbors []entity.ID, weights []float64) {
-			h.reset()
-			for nn, j := range neighbors {
-				h.offer(weights[nn], i, j)
-			}
-			for _, e := range h.items {
-				p := entity.MakePair(e.i, e.j)
-				bit := uint8(1)
-				if e.i > e.j {
-					bit = 2
-				}
-				r := int(uint64(p.A) * uint64(reducers) / uint64(n))
-				local[r] = append(local[r], pairMark{p: p, m: bit})
-			}
-		})
-		marks[worker] = local
-	})
-
-	outs := make([][]entity.Pair, reducers)
-	par.Ranges(reducers, reducers, func(_, lo, hi int) {
-		for r := lo; r < hi; r++ {
-			outs[r] = reduceMarkShard(marks, r, reciprocal)
-		}
-	})
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	out := make([]entity.Pair, 0, total)
-	for _, o := range outs {
-		out = append(out, o...)
-	}
-	return out
-}
-
-// reduceMarkShard gathers every worker's marks for reducer shard r, sorts
-// them canonically and ORs each pair's bits in a single run scan.
-func reduceMarkShard(marks [][][]pairMark, r int, reciprocal bool) []entity.Pair {
-	total := 0
-	for _, workerMarks := range marks {
-		if workerMarks != nil {
-			total += len(workerMarks[r])
-		}
-	}
-	if total == 0 {
-		return nil
-	}
-	shard := make([]pairMark, 0, total)
-	for _, workerMarks := range marks {
-		if workerMarks != nil {
-			shard = append(shard, workerMarks[r]...)
-		}
-	}
-	// Equal pairs may carry different bits; their relative order is
-	// irrelevant because the run scan ORs them.
-	slices.SortFunc(shard, func(a, b pairMark) int { return comparePairs(a.p, b.p) })
-	var out []entity.Pair
-	for i := 0; i < len(shard); {
-		p := shard[i].p
-		m := shard[i].m
-		for i++; i < len(shard) && shard[i].p == p; i++ {
-			m |= shard[i].m
-		}
-		if !reciprocal || m == 3 {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// wnpBucket is one worker's output of the single-pass Redefined/Reciprocal
-// WNP: one group per scanned node i, in scan order (descending i), holding
-// {A: i, B: j} ascending in j for every edge to a larger neighbor j that is
-// retained or still undecided.
-type wnpBucket struct {
+// nodeBucket is one worker's output of the node-centric pass: one group
+// per scanned node i, in scan order (descending i), holding {A: i, B: j}
+// ascending in j — one slot per comparison of every edge to a larger
+// neighbor j that is retained or still undecided.
+type nodeBucket struct {
 	pairs []entity.Pair
-	// pending lists the undecided entries of pairs: edges whose larger
+	// pending lists the undecided slots of pairs: edges whose larger
 	// endpoint lies in another worker's range, so its threshold is only
 	// known after the barrier.
 	pending []pendingEdge
 }
 
-// pendingEdge is the edge at pairs[at], of weight w, that already met (or,
-// for Redefined WNP, failed) its smaller endpoint's threshold and is
-// retained iff w also meets the larger endpoint's.
+// pendingEdge is the slot pairs[at] of an edge of weight w: the comparison
+// it yields iff the larger endpoint's threshold admits the edge too.
 type pendingEdge struct {
 	at int
 	w  float64
 }
 
-// redefinedWNPParallel retains exactly what the two passes of Algorithm 5
-// retain (see redefinedWNP) in one ScanCount pass, and emits it in
-// canonical order without a global sort: every worker scans its ID range
-// downwards and decides each edge at its smaller endpoint i, so its pairs
-// all have A = i, the ranges are disjoint in A, and ordering the result
-// takes a sort of each node's few retained neighbors plus one reversed
-// copy of the buckets.
-func (g *Graph) redefinedWNPParallel(reciprocal bool, workers int) []entity.Pair {
-	buckets, thresholds := g.wnpBuckets(reciprocal, workers)
+// nodeCentricParallel retains exactly what the serial pass retains (see
+// nodeCentric) and emits it in canonical order without a global sort: every
+// worker scans its ID range downwards and decides each edge at its smaller
+// endpoint i, so its pairs all have A = i, the ranges are disjoint in A, and
+// ordering the result takes a sort of each node's few retained neighbors
+// plus one reversed copy of the buckets.
+func (g *Graph) nodeCentricParallel(a Algorithm, workers int) []entity.Pair {
+	buckets, thresholds := g.nodeBuckets(a, workers)
 	total := 0
 	for b := range buckets {
 		total += len(buckets[b].pairs) - buckets[b].resolve(thresholds)
@@ -584,81 +367,92 @@ func (g *Graph) redefinedWNPParallel(reciprocal bool, workers int) []entity.Pair
 	return out
 }
 
-// wnpBuckets runs the pass: per-worker buckets over ascending disjoint ID
+// nodeBuckets runs the pass: per-worker buckets over ascending disjoint ID
 // ranges, and every neighborhood's threshold for resolving their pending
-// edges. For Clean-Clean ER every edge crosses Split, so the E2 side
+// slots. For Clean-Clean ER every edge crosses Split, so the E2 side
 // settles its thresholds first and, after a barrier, the E1 side decides
 // all of its edges on the spot — nothing is left pending.
-func (g *Graph) wnpBuckets(reciprocal bool, workers int) ([]wnpBucket, []float64) {
+func (g *Graph) nodeBuckets(a Algorithm, workers int) ([]nodeBucket, []nodeThreshold) {
 	n := g.blocks.NumEntities
-	thresholds := make([]float64, n)
-	buckets := make([]wnpBucket, workers)
+	thresholds := make([]nodeThreshold, n)
+	buckets := make([]nodeBucket, workers)
 	to, knownFrom := n, n
 	if g.blocks.Task == entity.CleanClean {
 		to, knownFrom = g.blocks.Split, g.blocks.Split
 		g.parallelRangesIn(knownFrom, n, workers, func(w *Graph, _, lo, hi int) {
-			w.forEachNodeRange(lo, hi, func(i entity.ID, _ []entity.ID, weights []float64) {
-				thresholds[i] = w.meanOf(weights) // disjoint index ranges: no race
+			topK := w.newTopK(a)
+			w.forEachNodeRange(lo, hi, func(i entity.ID, neighbors []entity.ID, weights []float64) {
+				thresholds[i] = w.thresholdOf(topK, i, neighbors, weights) // disjoint index ranges: no race
 			})
 		})
 	}
 	g.parallelRangesIn(0, to, workers, func(w *Graph, worker, lo, hi int) {
-		buckets[worker] = w.wnpDecideRange(lo, hi, knownFrom, reciprocal, thresholds)
+		buckets[worker] = w.decideRange(a, lo, hi, knownFrom, thresholds)
 	})
 	return buckets, thresholds
 }
 
-// wnpDecideRange scans the nodes of [lo, hi) downwards. At node i it
-// stores the exact threshold θi and handles every edge to a larger
-// neighbor j (edges to smaller ones are handled at j): when θj is known —
-// j was scanned earlier by this worker (j < hi) or in an earlier phase
-// (j ≥ knownFrom) — the edge is decided with the same >= tests as the
-// edge-centric pass of Alg. 5; otherwise it is kept, and listed as pending
-// if θj can still change its fate (Reciprocal: it met θi; Redefined: it
-// failed θi). thresholds is written only at [lo, hi) and read only where
-// known.
-func (g *Graph) wnpDecideRange(lo, hi, knownFrom int, reciprocal bool, thresholds []float64) wnpBucket {
-	var b wnpBucket
+// decideRange scans the nodes of [lo, hi) downwards. At node i it stores
+// the threshold θi and handles every edge to a larger neighbor j (edges to
+// smaller ones are handled at j). When θj is known — j was scanned earlier
+// by this worker (j < hi) or in an earlier phase (j ≥ knownFrom) — the edge
+// gets its copies(okI, okJ) slots at once. Otherwise it gets the
+// copies(okI, false) slots no θj can take away, plus one pending slot if a
+// θj that admits it would add one: for the Reciprocal variants that is an
+// edge that met θi, for the Redefined ones an edge that failed it, for the
+// originals every edge. thresholds is written only at [lo, hi) and read
+// only where known.
+func (g *Graph) decideRange(a Algorithm, lo, hi, knownFrom int, thresholds []nodeThreshold) nodeBucket {
+	var b nodeBucket
 	sc := g.sc
+	topK := g.newTopK(a)
 	g.scanNodeRange(lo, hi, true, func(i entity.ID, neighbors []entity.ID, weights []float64) {
-		ti := g.meanOf(weights)
+		ti := g.thresholdOf(topK, i, neighbors, weights)
 		thresholds[i] = ti
-		// Kept neighbors as j<<32|n: sorting orders the group by j and
-		// keeps each edge's weight index n at hand.
+		// One key per slot, j<<32|n<<1|pending: sorting orders the group by
+		// j, keeps each edge's weight index n at hand and puts an edge's
+		// pending slot after its settled one.
 		keys := sc.keys[:0]
 		for n, j := range neighbors {
 			if j < i {
 				continue
 			}
-			okI, okJ := weights[n] >= ti, true // an unknown θj may yet be met
+			w, key := weights[n], uint64(j)<<32|uint64(n)<<1
+			okI := ti.admits(w, j)
 			if int(j) < hi || int(j) >= knownFrom {
-				okJ = weights[n] >= thresholds[j]
+				for c := a.copies(okI, thresholds[j].admits(w, i)); c > 0; c-- {
+					keys = append(keys, key)
+				}
+				continue
 			}
-			if (reciprocal && okI && okJ) || (!reciprocal && (okI || okJ)) {
-				keys = append(keys, uint64(j)<<32|uint64(n))
+			settled := a.copies(okI, false)
+			if settled > 0 {
+				keys = append(keys, key)
+			}
+			if a.copies(okI, true) > settled {
+				keys = append(keys, key|1)
 			}
 		}
 		slices.Sort(keys)
 		sc.keys = keys
 		pairs, pending := b.pairs, b.pending
 		for _, k := range keys {
-			j, w := entity.ID(k>>32), weights[uint32(k)]
-			if int(j) >= hi && int(j) < knownFrom && (w >= ti) == reciprocal {
-				pending = append(pending, pendingEdge{at: len(pairs), w: w})
+			if k&1 != 0 {
+				pending = append(pending, pendingEdge{at: len(pairs), w: weights[uint32(k)>>1]})
 			}
-			pairs = append(pairs, entity.Pair{A: i, B: j})
+			pairs = append(pairs, entity.Pair{A: i, B: entity.ID(k >> 32)})
 		}
 		b.pairs, b.pending = pairs, pending
 	})
 	return b
 }
 
-// resolve decides the pending edges now that every threshold is known,
+// resolve decides the pending slots now that every threshold is known,
 // marks the ones that fail with B = -1 and returns how many it marked.
-func (b *wnpBucket) resolve(thresholds []float64) int {
+func (b *nodeBucket) resolve(thresholds []nodeThreshold) int {
 	dropped := 0
 	for _, p := range b.pending {
-		if e := &b.pairs[p.at]; !(p.w >= thresholds[e.B]) {
+		if e := &b.pairs[p.at]; !thresholds[e.B].admits(p.w, e.A) {
 			e.B = -1
 			dropped++
 		}
@@ -669,7 +463,7 @@ func (b *wnpBucket) resolve(thresholds []float64) int {
 // appendAscending appends the bucket's surviving pairs in canonical order:
 // the groups back to front (they were emitted in descending A), each
 // group front to back.
-func (b *wnpBucket) appendAscending(out []entity.Pair) []entity.Pair {
+func (b *nodeBucket) appendAscending(out []entity.Pair) []entity.Pair {
 	for end := len(b.pairs); end > 0; {
 		start := end - 1
 		for a := b.pairs[start].A; start > 0 && b.pairs[start-1].A == a; {

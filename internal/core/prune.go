@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"metablocking/internal/entity"
 	"metablocking/internal/floatsum"
@@ -91,25 +92,18 @@ func (g *Graph) nodes(fn func(i entity.ID, neighbors []entity.ID, weights []floa
 // Prune applies the given pruning algorithm and returns the retained
 // comparisons. For the original node-centric algorithms (CNP, WNP) the
 // result may contain the same pair twice — those are exactly the redundant
-// comparisons the Redefined variants eliminate.
+// comparisons the Redefined variants eliminate. The six node-centric
+// algorithms emit in node order — node i ascending, its smaller neighbors
+// in scan order — so two calls on the same input return the same slice;
+// PruneParallel returns the canonical (A, B) order instead.
 func (g *Graph) Prune(a Algorithm) []entity.Pair {
 	switch a {
 	case CEP:
 		return g.cep()
-	case CNP:
-		return g.cnp()
 	case WEP:
 		return g.wep()
-	case WNP:
-		return g.wnp()
-	case RedefinedCNP:
-		return g.redefinedCNP(false)
-	case ReciprocalCNP:
-		return g.redefinedCNP(true)
-	case RedefinedWNP:
-		return g.redefinedWNP(false)
-	case ReciprocalWNP:
-		return g.redefinedWNP(true)
+	case CNP, WNP, RedefinedCNP, ReciprocalCNP, RedefinedWNP, ReciprocalWNP:
+		return g.nodeCentric(a)
 	default:
 		panic(fmt.Sprintf("core: unknown pruning algorithm %d", int(a)))
 	}
@@ -120,8 +114,12 @@ func (g *Graph) CardinalityEdgeThreshold() int {
 	return int(g.blocks.Assignments() / 2)
 }
 
-// CardinalityNodeThreshold returns CNP's per-node k = max(1, ⌊Σ|b|/|E|−1⌋).
+// CardinalityNodeThreshold returns CNP's per-node k = max(1, ⌊Σ|b|/|E|−1⌋);
+// an empty collection has k = 1.
 func (g *Graph) CardinalityNodeThreshold() int {
+	if g.blocks.NumEntities == 0 {
+		return 1
+	}
 	k := int(g.blocks.Assignments())/g.blocks.NumEntities - 1
 	if k < 1 {
 		k = 1
@@ -171,100 +169,103 @@ func (g *Graph) wep() []entity.Pair {
 	return out
 }
 
-// cnp retains, per node, the top-k weighted incident edges. Every retained
-// directed edge yields a comparison, so pairs ranked by both endpoints
-// appear twice (the original algorithm's redundant comparisons).
-func (g *Graph) cnp() []entity.Pair {
-	k := g.CardinalityNodeThreshold()
-	h := newEdgeHeap(k)
-	var out []entity.Pair
-	g.nodes(func(i entity.ID, neighbors []entity.ID, weights []float64) {
-		h.reset()
-		for n, j := range neighbors {
-			h.offer(weights[n], i, j)
-		}
-		for _, e := range h.items {
-			out = append(out, entity.MakePair(e.i, e.j))
-		}
-	})
-	return out
+// nodeThreshold is one node's pruning criterion: the last admitted key of
+// its neighborhood under (weight descending, neighbor ascending) — which is
+// edgeHeap.beats restricted to the edges of one node.
+type nodeThreshold struct {
+	w  float64
+	id entity.ID
 }
 
-// wnp retains, per node, the incident edges at or above the neighborhood's
-// mean weight, one comparison per retained directed edge.
-func (g *Graph) wnp() []entity.Pair {
-	var out []entity.Pair
-	g.nodes(func(i entity.ID, neighbors []entity.ID, weights []float64) {
-		threshold := g.meanOf(weights)
-		for n, j := range neighbors {
-			if weights[n] >= threshold {
-				out = append(out, entity.MakePair(i, j))
-			}
-		}
-	})
-	return out
+// admitsAll is the threshold of a node with at most k neighbors under the
+// cardinality criterion.
+var admitsAll = nodeThreshold{w: math.Inf(-1), id: math.MaxInt32}
+
+// admits reports whether the node's edge of weight w to neighbor other meets
+// the criterion.
+func (t nodeThreshold) admits(w float64, other entity.ID) bool {
+	return w > t.w || (w == t.w && other <= t.id)
 }
 
-// redefinedCNP implements Algorithms 4 (reciprocal=false, the disjunctive
-// OR of Redefined CNP) and its conjunctive sibling Reciprocal CNP
-// (reciprocal=true). One node-centric pass records which endpoints ranked
-// each edge in their top-k; an edge is retained once if either endpoint
-// (OR) or both endpoints (AND) ranked it.
-func (g *Graph) redefinedCNP(reciprocal bool) []entity.Pair {
-	k := g.CardinalityNodeThreshold()
-	h := newEdgeHeap(k)
-	marks := make(map[entity.Pair]uint8)
-	g.nodes(func(i entity.ID, neighbors []entity.ID, weights []float64) {
-		h.reset()
-		for n, j := range neighbors {
-			h.offer(weights[n], i, j)
-		}
-		for _, e := range h.items {
-			p := entity.MakePair(e.i, e.j)
-			if e.i < e.j {
-				marks[p] |= 1 // ranked by the smaller endpoint
-			} else {
-				marks[p] |= 2 // ranked by the larger endpoint
-			}
-		}
-	})
-	return collectMarks(marks, reciprocal)
+// newTopK returns the heap the cardinality-based algorithms rank each
+// neighborhood with, nil for the weight-based ones.
+func (g *Graph) newTopK(a Algorithm) *edgeHeap {
+	switch a {
+	case CNP, RedefinedCNP, ReciprocalCNP:
+		return newEdgeHeap(g.CardinalityNodeThreshold())
+	}
+	return nil
 }
 
-// redefinedWNP retains what Algorithm 5 (reciprocal=false) and Reciprocal
-// WNP (reciprocal=true) retain — every edge meeting the mean-weight
-// threshold of either (OR) or both (AND) endpoints, once — in a single
-// node-centric pass instead of Alg. 5's two. Edge weights are bit-identical
-// from either endpoint (weightContext.weight canonicalizes its operands),
-// so an edge is decided at whichever endpoint is scanned second: nodes are
-// visited in ascending ID, so by then the smaller endpoint's threshold is
-// stored and the edge-centric pass has nothing left to do.
-func (g *Graph) redefinedWNP(reciprocal bool) []entity.Pair {
-	thresholds := make([]float64, g.blocks.NumEntities)
+// thresholdOf derives node i's criterion from its neighborhood. Weight-based
+// (topK == nil): the exact mean with no bound on the neighbor, i.e.
+// w >= mean. Cardinality-based: the k-th key of the neighborhood — the heap's
+// root once every neighbor was offered — which admits exactly the top-k
+// edges Alg. 4's sorted stack holds.
+func (g *Graph) thresholdOf(topK *edgeHeap, i entity.ID, neighbors []entity.ID, weights []float64) nodeThreshold {
+	if topK == nil {
+		return nodeThreshold{w: g.meanOf(weights), id: math.MaxInt32}
+	}
+	if len(neighbors) <= topK.cap {
+		return admitsAll
+	}
+	topK.reset()
+	for n, j := range neighbors {
+		topK.offer(weights[n], i, j)
+	}
+	return nodeThreshold{w: topK.items[0].w, id: topK.items[0].j}
+}
+
+// copies is how many comparisons an edge yields given the verdicts of its
+// two endpoints: one per admitting endpoint for the original algorithms
+// (their redundant comparisons), one if either admits it for the Redefined
+// variants (§5.1), one if both do for the Reciprocal ones (§5.2).
+func (a Algorithm) copies(okI, okJ bool) int {
+	switch a {
+	case CNP, WNP:
+		n := 0
+		if okI {
+			n++
+		}
+		if okJ {
+			n++
+		}
+		return n
+	case RedefinedCNP, RedefinedWNP:
+		if okI || okJ {
+			return 1
+		}
+	default:
+		if okI && okJ {
+			return 1
+		}
+	}
+	return 0
+}
+
+// nodeCentric is the serial form of all six node-centric algorithms: one
+// node-centric pass instead of the node pass plus edge pass of Algs. 4/5.
+// Edge weights are bit-identical from either endpoint (weightContext.weight
+// canonicalizes its operands), so an edge is decided at whichever endpoint
+// is scanned second: nodes are visited in ascending ID, so by then the
+// smaller endpoint's threshold is stored and nothing is left for a second
+// pass.
+func (g *Graph) nodeCentric(a Algorithm) []entity.Pair {
+	thresholds := make([]nodeThreshold, g.blocks.NumEntities)
+	topK := g.newTopK(a)
 	var out []entity.Pair
 	g.nodes(func(i entity.ID, neighbors []entity.ID, weights []float64) {
-		ti := g.meanOf(weights)
+		ti := g.thresholdOf(topK, i, neighbors, weights)
 		thresholds[i] = ti
 		for n, j := range neighbors {
 			if j > i {
 				continue // decided when the scan reaches j
 			}
-			okI, okJ := weights[n] >= ti, weights[n] >= thresholds[j]
-			if (reciprocal && okI && okJ) || (!reciprocal && (okI || okJ)) {
+			w := weights[n]
+			for c := a.copies(ti.admits(w, j), thresholds[j].admits(w, i)); c > 0; c-- {
 				out = append(out, entity.MakePair(i, j))
 			}
 		}
 	})
-	return out
-}
-
-func collectMarks(marks map[entity.Pair]uint8, reciprocal bool) []entity.Pair {
-	out := make([]entity.Pair, 0, len(marks))
-	for p, m := range marks {
-		if reciprocal && m != 3 {
-			continue
-		}
-		out = append(out, p)
-	}
 	return out
 }

@@ -540,3 +540,48 @@ func TestRedefinedWNPSerialSemantics(t *testing.T) {
 		}
 	}
 }
+
+// TestSerialPruneDeterministic: two serial calls on fresh graphs return the
+// same slice, element for element, for every algorithm, scheme and task
+// type — node-centric results are in node order, not map-iteration order.
+func TestSerialPruneDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for name, blocks := range map[string]*block.Collection{
+		"dirty": randomDirtyBlocks(rng, 60, 50),
+		"clean": randomCleanBlocks(rng, 25, 60, 50),
+	} {
+		for _, scheme := range AllSchemes {
+			for _, alg := range AllAlgorithms {
+				first := NewGraph(blocks, scheme).Prune(alg)
+				if len(first) == 0 {
+					t.Fatalf("%s/%v/%v: nothing retained", name, scheme, alg)
+				}
+				for run := 0; run < 3; run++ {
+					if again := NewGraph(blocks, scheme).Prune(alg); !reflect.DeepEqual(again, first) {
+						t.Fatalf("%s/%v/%v: serial Prune returned a different order on run %d", name, scheme, alg, run+2)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPruneEmptyCollection: a collection with no entity and no block prunes
+// to nothing under every algorithm, serial and parallel — the cardinality
+// thresholds must not divide by |E| = 0.
+func TestPruneEmptyCollection(t *testing.T) {
+	for _, task := range []entity.Task{entity.Dirty, entity.CleanClean} {
+		for _, alg := range AllAlgorithms {
+			empty := &block.Collection{Task: task}
+			if got := NewGraph(empty, CBS).Prune(alg); len(got) != 0 {
+				t.Errorf("%v/%v: Prune retained %d comparisons from an empty collection", task, alg, len(got))
+			}
+			if got := NewGraph(empty, CBS).PruneParallel(alg, 2); len(got) != 0 {
+				t.Errorf("%v/%v: PruneParallel retained %d comparisons from an empty collection", task, alg, len(got))
+			}
+		}
+	}
+	if k := NewGraph(&block.Collection{}, CBS).CardinalityNodeThreshold(); k != 1 {
+		t.Errorf("empty collection: k = %d, want 1", k)
+	}
+}

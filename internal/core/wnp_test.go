@@ -12,20 +12,62 @@ import (
 	"metablocking/internal/par"
 )
 
-// twoPassWNP is Algorithm 5 as the paper states it and as this package
-// implemented it before the single-pass form: a node-centric pass for the
-// neighborhood thresholds, then an edge-centric pass testing every edge
-// against both, in canonical order. It is the reference the single pass
-// must reproduce element for element.
-func twoPassWNP(g *Graph, reciprocal bool) []entity.Pair {
+// nodeCentricFamilies lists the six node-centric algorithms.
+var nodeCentricFamilies = []Algorithm{CNP, RedefinedCNP, ReciprocalCNP, WNP, RedefinedWNP, ReciprocalWNP}
+
+// endpointVerdicts returns, for every edge of g, whether each endpoint's
+// criterion admits it, derived apart from the production pass: the
+// cardinality-based family from topKSets (a plain sort per neighborhood),
+// the weight-based one from a node-centric pass for the neighborhood means
+// — the first pass of Algorithms 4/5 as the paper states them.
+func endpointVerdicts(g *Graph, alg Algorithm) func(i, j entity.ID, w float64) (okI, okJ bool) {
+	switch alg {
+	case CNP, RedefinedCNP, ReciprocalCNP:
+		top := topKSets(g, g.CardinalityNodeThreshold())
+		return func(i, j entity.ID, _ float64) (bool, bool) {
+			p := entity.MakePair(i, j)
+			return top[i][p], top[j][p]
+		}
+	}
 	thresholds := make([]float64, g.blocks.NumEntities)
 	g.ForEachNode(func(i entity.ID, _ []entity.ID, weights []float64) {
 		thresholds[i] = g.meanOf(weights)
 	})
+	return func(i, j entity.ID, w float64) (bool, bool) {
+		return w >= thresholds[i], w >= thresholds[j]
+	}
+}
+
+// referenceCopies is the number of comparisons an edge yields: one per
+// admitting endpoint (originals), one if either admits (Redefined), one if
+// both do (Reciprocal).
+func referenceCopies(alg Algorithm, okI, okJ bool) int {
+	votes := 0
+	for _, ok := range []bool{okI, okJ} {
+		if ok {
+			votes++
+		}
+	}
+	switch alg {
+	case CNP, WNP:
+		return votes
+	case RedefinedCNP, RedefinedWNP:
+		return min(votes, 1)
+	}
+	return votes / 2
+}
+
+// twoPassWNP is Algorithms 4 and 5 as the paper states them and as this
+// package implemented Alg. 5 before the single-pass form: a node-centric
+// pass for the per-node criteria, then an edge-centric pass testing every
+// edge against both, in canonical order. It is the reference the single
+// pass must reproduce element for element.
+func twoPassWNP(g *Graph, alg Algorithm) []entity.Pair {
+	verdicts := endpointVerdicts(g, alg)
 	out := []entity.Pair{}
 	g.ForEachEdge(func(i, j entity.ID, w float64) {
-		okI, okJ := w >= thresholds[i], w >= thresholds[j]
-		if (reciprocal && okI && okJ) || (!reciprocal && (okI || okJ)) {
+		okI, okJ := verdicts(i, j, w)
+		for c := referenceCopies(alg, okI, okJ); c > 0; c-- {
 			out = append(out, entity.MakePair(i, j))
 		}
 	})
@@ -105,23 +147,39 @@ func wnpInputs() map[string]*block.Collection {
 		}
 	}
 	inputs["gap"] = gap
+
+	// A ring whose every edge repeats in several blocks: each node has two
+	// neighbors and k = ⌊Σ|b|/|E|⌋−1 = 3, so no neighborhood fills the
+	// cardinality criterion and it must admit every edge.
+	var ring [][]entity.ID
+	for i := 0; i < 12; i++ {
+		members := []entity.ID{entity.ID(i), entity.ID((i + 1) % 12)}
+		slices.Sort(members)
+		for r := 0; r < 2+i%2; r++ {
+			ring = append(ring, members)
+		}
+	}
+	inputs["k-covers-all"] = dirtyOf(12, ring...)
 	return inputs
 }
 
 // TestSinglePassWNPMatchesTwoPass: for every input shape, scheme and worker
-// count, the single-pass Redefined/Reciprocal WNP returns exactly the
-// pairs of the two-pass Algorithm 5, in canonical order; the serial form
-// returns them in node order.
+// count, the single node-centric pass returns exactly the comparisons of
+// the two-pass reference for all six node-centric algorithms, in canonical
+// order; the serial form returns them in node order.
 func TestSinglePassWNPMatchesTwoPass(t *testing.T) {
 	for name, blocks := range wnpInputs() {
 		n := blocks.NumEntities
 		for _, scheme := range AllSchemes {
-			for _, alg := range []Algorithm{RedefinedWNP, ReciprocalWNP} {
-				want := twoPassWNP(NewGraph(blocks, scheme), alg == ReciprocalWNP)
+			for _, alg := range nodeCentricFamilies {
+				want := twoPassWNP(NewGraph(blocks, scheme), alg)
 				if len(want) == 0 {
 					t.Fatalf("%s/%v/%v: reference retains nothing", name, scheme, alg)
 				}
 				serial := NewGraph(blocks, scheme).Prune(alg)
+				if !slices.IsSortedFunc(serial, func(p, q entity.Pair) int { return int(p.B - q.B) }) {
+					t.Fatalf("%s/%v/%v serial: not in node order: %v", name, scheme, alg, serial)
+				}
 				sortPairs(serial)
 				if !reflect.DeepEqual(serial, want) {
 					t.Fatalf("%s/%v/%v serial: %d pairs, two-pass reference %d", name, scheme, alg, len(serial), len(want))
@@ -138,47 +196,107 @@ func TestSinglePassWNPMatchesTwoPass(t *testing.T) {
 	}
 }
 
-// TestWNPPendingEdges pins where the single pass defers a decision: never
-// for Clean-Clean ER (the two phases leave no threshold unknown) nor with
-// one worker, and for every retained edge when all edges cross the
-// boundary between two workers.
+// TestCardinalityThresholdCorners pins the two inputs where a k-th-key
+// threshold could part from Alg. 4's sorted stack. When k covers every
+// neighborhood the criterion admits all: CNP keeps every edge twice, its
+// variants once. When every weight ties, the neighbor ID alone ranks the
+// edges: each node admits its k smallest neighbors.
+func TestCardinalityThresholdCorners(t *testing.T) {
+	inputs := wnpInputs()
+	g := NewGraph(inputs["k-covers-all"], JS)
+	edges := int(g.NumEdges())
+	g.ForEachNode(func(i entity.ID, neighbors []entity.ID, _ []float64) {
+		if len(neighbors) > g.CardinalityNodeThreshold() {
+			t.Fatalf("node %d has %d neighbors, k = %d: input no longer covers the corner", i, len(neighbors), g.CardinalityNodeThreshold())
+		}
+	})
+	for alg, want := range map[Algorithm]int{CNP: 2 * edges, RedefinedCNP: edges, ReciprocalCNP: edges} {
+		if got := len(g.Prune(alg)); got != want {
+			t.Errorf("k-covers-all %v: %d comparisons, want %d", alg, got, want)
+		}
+		if got := len(g.PruneParallel(alg, 3)); got != want {
+			t.Errorf("k-covers-all %v workers=3: %d comparisons, want %d", alg, got, want)
+		}
+	}
+
+	g = NewGraph(inputs["tied-dirty"], CBS)
+	k := g.CardinalityNodeThreshold()
+	if k >= 29 {
+		t.Fatalf("k = %d covers the tied clique: input no longer ranks by neighbor ID", k)
+	}
+	// Node i admits neighbors 0..k (skipping itself), so both endpoints
+	// admit i-j exactly when both IDs are at most k.
+	var want []entity.Pair
+	for i := entity.ID(0); int(i) <= k; i++ {
+		for j := i + 1; int(j) <= k; j++ {
+			want = append(want, entity.Pair{A: i, B: j})
+		}
+	}
+	if got := g.PruneParallel(ReciprocalCNP, 2); !reflect.DeepEqual(got, want) {
+		t.Errorf("tied-dirty Reciprocal CNP = %v, want the clique on 0..%d", got, k)
+	}
+}
+
+// TestWNPPendingEdges pins where the pass defers a decision: never for
+// Clean-Clean ER (the two phases leave no threshold unknown) nor with one
+// worker, and — when all edges cross the boundary between two workers — in
+// exactly the slots the copies rule leaves open.
 func TestWNPPendingEdges(t *testing.T) {
 	inputs := wnpInputs()
-	pendingOf := func(blocks *block.Collection, reciprocal bool, workers int) (pending int) {
+	pendingOf := func(blocks *block.Collection, alg Algorithm, workers int) (pending int) {
 		g := NewGraph(blocks, JS)
-		buckets, _ := g.wnpBuckets(reciprocal, par.Resolve(workers, blocks.NumEntities))
+		buckets, _ := g.nodeBuckets(alg, par.Resolve(workers, blocks.NumEntities))
 		for _, b := range buckets {
 			pending += len(b.pending)
 		}
 		return pending
 	}
-	for _, reciprocal := range []bool{false, true} {
+	for _, alg := range nodeCentricFamilies {
 		for _, name := range []string{"clean", "clean-skew", "tied-clean"} {
 			for _, workers := range []int{1, 2, 3, 4, 7, inputs[name].NumEntities + 1} {
-				if pending := pendingOf(inputs[name], reciprocal, workers); pending != 0 {
-					t.Errorf("%s reciprocal=%v workers=%d: %d pending edges, want 0", name, reciprocal, workers, pending)
+				if pending := pendingOf(inputs[name], alg, workers); pending != 0 {
+					t.Errorf("%s %v workers=%d: %d pending slots, want 0", name, alg, workers, pending)
 				}
 			}
 		}
-		if pending := pendingOf(inputs["dirty"], reciprocal, 1); pending != 0 {
-			t.Errorf("dirty reciprocal=%v workers=1: %d pending edges, want 0", reciprocal, pending)
+		if pending := pendingOf(inputs["dirty"], alg, 1); pending != 0 {
+			t.Errorf("dirty %v workers=1: %d pending slots, want 0", alg, pending)
 		}
 	}
-	// Reciprocal WNP keeps an edge only through the pending list here, and
-	// the upper range has no larger neighbor to emit to.
+
+	// On crossing at two workers the lower range decides nothing for good
+	// but what its own thresholds settle, and the upper range has no larger
+	// neighbor to emit to. With met of the |E| edges admitted by their
+	// smaller endpoint: the originals settle one slot per admitted edge and
+	// leave one pending per edge; Redefined settles the admitted edges and
+	// defers the rest; Reciprocal keeps an edge only through the pending
+	// list.
 	g := NewGraph(inputs["crossing"], JS)
-	buckets, _ := g.wnpBuckets(true, 2)
-	if len(buckets[0].pending) == 0 || len(buckets[0].pending) != len(buckets[0].pairs) {
-		t.Errorf("crossing: %d pending of %d kept edges, want all of them pending",
-			len(buckets[0].pending), len(buckets[0].pairs))
-	}
-	if len(buckets[1].pairs) != 0 {
-		t.Errorf("crossing: upper range emitted %d pairs, want 0", len(buckets[1].pairs))
-	}
-	// Redefined WNP settles at once what met the smaller endpoint's
-	// threshold and defers only the rest.
-	buckets, _ = g.wnpBuckets(false, 2)
-	if p, all := len(buckets[0].pending), len(buckets[0].pairs); p == 0 || p >= all {
-		t.Errorf("crossing redefined: %d pending of %d kept edges, want some but not all", p, all)
+	edges := int(g.NumEdges())
+	for _, alg := range nodeCentricFamilies {
+		verdicts, met := endpointVerdicts(g, alg), 0
+		g.ForEachEdge(func(i, j entity.ID, w float64) {
+			if okI, _ := verdicts(i, j, w); okI {
+				met++
+			}
+		})
+		if met == 0 || met == edges {
+			t.Fatalf("crossing %v: %d of %d edges met their smaller endpoint's criterion: input tells nothing", alg, met, edges)
+		}
+		wantPending, wantSettled := edges, met
+		switch alg {
+		case RedefinedCNP, RedefinedWNP:
+			wantPending = edges - met
+		case ReciprocalCNP, ReciprocalWNP:
+			wantPending, wantSettled = met, 0
+		}
+		buckets, _ := g.nodeBuckets(alg, 2)
+		pending := len(buckets[0].pending)
+		if settled := len(buckets[0].pairs) - pending; pending != wantPending || settled != wantSettled {
+			t.Errorf("crossing %v: %d pending and %d settled slots, want %d and %d", alg, pending, settled, wantPending, wantSettled)
+		}
+		if len(buckets[1].pairs) != 0 {
+			t.Errorf("crossing %v: upper range emitted %d pairs, want 0", alg, len(buckets[1].pairs))
+		}
 	}
 }

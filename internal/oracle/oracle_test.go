@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"metablocking/internal/block"
 	"metablocking/internal/blocking"
 	"metablocking/internal/core"
 	"metablocking/internal/entity"
@@ -89,6 +90,11 @@ func TestOracleEmptyAndSingletonBlocks(t *testing.T) {
 	for _, alg := range core.AllAlgorithms {
 		if got := Prune(empty, core.JS, alg); len(got) != 0 {
 			t.Fatalf("%v retained %d comparisons from a comparison-free collection", alg, len(got))
+		}
+		// No entity at all: the cardinality thresholds must not divide by
+		// |E| = 0.
+		if got := Prune(&block.Collection{}, core.JS, alg); len(got) != 0 {
+			t.Fatalf("%v retained %d comparisons from an empty collection", alg, len(got))
 		}
 	}
 }

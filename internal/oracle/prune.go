@@ -47,8 +47,12 @@ func CardinalityEdgeThreshold(c *block.Collection) int {
 	return int(assignments(c) / 2)
 }
 
-// CardinalityNodeThreshold restates CNP's k = max(1, ⌊Σ|b|/|E|⌋−1).
+// CardinalityNodeThreshold restates CNP's k = max(1, ⌊Σ|b|/|E|⌋−1), 1 for
+// an empty collection.
 func CardinalityNodeThreshold(c *block.Collection) int {
+	if c.NumEntities == 0 {
+		return 1
+	}
 	k := int(assignments(c))/c.NumEntities - 1
 	if k < 1 {
 		k = 1
