@@ -66,7 +66,7 @@ ci: check race cover fuzz-smoke serve-smoke chaos-smoke bench-smoke bench-gate
 ##   go run golang.org/x/perf/cmd/benchstat old.txt new.txt
 ## (or eyeball the per-count spread if benchstat is unavailable).
 bench-parallel:
-	$(GO) test -run xxx -bench 'BenchmarkParallel' -benchtime 2s -count=5 .
+	$(GO) test -run xxx -bench 'BenchmarkParallel' -benchtime 2s -count=5 . ./internal/core
 
 ## bench-serve: micro-bench the batched server resolve path (reports
 ## ns/op, allocs and the achieved profiles/batch).

@@ -7,15 +7,12 @@ package metablocking
 // the serial baseline; every worker count retains the exact same pairs.
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
 
 	"metablocking/internal/blockproc"
-	"metablocking/internal/core"
 	"metablocking/internal/datagen"
-	"metablocking/internal/obs"
 )
 
 // parallelBenchScale matches the recorded results_parallel_scale0.5.txt run.
@@ -64,8 +61,9 @@ func BenchmarkParallelPipeline(b *testing.B) {
 }
 
 // BenchmarkParallelStages isolates the worker sweep per stage on the same
-// dataset: blocking, filtering, and graph+pruning (Redefined and Reciprocal
-// WNP).
+// dataset: blocking, filtering and the graph-free workflow. The graph+prune
+// rows are internal/core's BenchmarkParallelStages, which can also report
+// how the pass split its work.
 func BenchmarkParallelStages(b *testing.B) {
 	ds := parallelBenchDataset()
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -88,28 +86,6 @@ func BenchmarkParallelStages(b *testing.B) {
 				}
 			}
 		})
-	}
-	// Graph construction plus pruning for the six node-centric algorithms
-	// on the filtered blocks, at the worker counts the bench host has CPUs
-	// for. edges_weighted/op shows the pass count: 2·|E| for the single
-	// node-centric pass, whatever the algorithm and worker count (the two
-	// passes of Algs. 4/5 cost 3·|E|).
-	filtered := blockproc.BlockFiltering{Ratio: 0.8}.Apply(blocks)
-	for _, alg := range []Algorithm{CNP, RedefinedCNP, ReciprocalCNP, WNP, RedefinedWNP, ReciprocalWNP} {
-		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("graph+prune/%v/workers=%d", alg, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				m := obs.NewMetrics()
-				o := obs.New(context.Background(), obs.WithMetrics(m))
-				for i := 0; i < b.N; i++ {
-					res := core.Run(filtered, core.Config{Scheme: JS, Algorithm: alg, Workers: workers, Obs: o})
-					if len(res.Pairs) == 0 {
-						b.Fatal("nothing retained")
-					}
-				}
-				b.ReportMetric(float64(m.Counter(obs.CtrEdgesWeighted).Value())/float64(b.N), "edges_weighted/op")
-			})
-		}
 	}
 	// The graph-free workflow on the many-attribute shape (the repository
 	// benchmark's batch_graphfree): Block Filtering, then the count and

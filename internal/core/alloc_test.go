@@ -53,30 +53,41 @@ func TestNodeTraversalAllocFree(t *testing.T) {
 // allocates its thresholds, its top-k heap, its bucket and its result —
 // bucket and serial result by append's geometric growth — and nothing per
 // node, so a graph of four times the nodes may cost a few growth steps
-// more, not hundreds of allocations.
+// more, not hundreds of allocations. At two workers the same holds per
+// range — a goroutine, a shard, a heap and a bucket for each of the
+// nodeBands × 2 — so sixteen times the nodes must cost less than one
+// allocation per added node by a wide margin.
 func TestSinglePassWNPAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are inflated under the race detector")
 	}
+	const ranges = nodeBands * 2
 	for _, alg := range []Algorithm{ReciprocalWNP, ReciprocalCNP} {
-		for name, prune := range map[string]func(g *Graph) []entity.Pair{
-			"PruneParallel(1)": func(g *Graph) []entity.Pair { return g.PruneParallel(alg, 1) },
-			"Prune":            func(g *Graph) []entity.Pair { return g.Prune(alg) },
+		for _, c := range []struct {
+			name               string
+			prune              func(g *Graph) []entity.Pair
+			small, large       int // node counts
+			atSmall, forGrowth float64
+		}{
+			{"PruneParallel(1)", func(g *Graph) []entity.Pair { return g.PruneParallel(alg, 1) }, 100, 400, 16, 10},
+			{"Prune", func(g *Graph) []entity.Pair { return g.Prune(alg) }, 100, 400, 16, 10},
+			{"PruneParallel(2)", func(g *Graph) []entity.Pair { return g.PruneParallel(alg, 2) }, 100, 1600, 16 + 12*ranges, 16 * ranges},
 		} {
 			allocs := func(nodes int) float64 {
 				rng := rand.New(rand.NewSource(5))
 				g := NewGraph(randomDirtyBlocks(rng, nodes, nodes), CBS)
-				if len(prune(g)) < nodes/4 { // warm-up: grows the scan scratch
-					t.Fatalf("%v %s, %d nodes: too few pairs retained to tell per-node allocations", alg, name, nodes)
+				if len(c.prune(g)) < nodes/4 { // warm-up: grows the scan scratch
+					t.Fatalf("%v %s, %d nodes: too few pairs retained to tell per-node allocations", alg, c.name, nodes)
 				}
-				return testing.AllocsPerRun(5, func() { prune(g) })
+				return testing.AllocsPerRun(5, func() { c.prune(g) })
 			}
-			small, large := allocs(100), allocs(400)
-			if small > 16 {
-				t.Errorf("%v %s, 100 nodes: %.0f allocations per warm call, want at most 16", alg, name, small)
+			small, large := allocs(c.small), allocs(c.large)
+			if small > c.atSmall {
+				t.Errorf("%v %s, %d nodes: %.0f allocations per warm call, want at most %.0f", alg, c.name, c.small, small, c.atSmall)
 			}
-			if large > small+10 {
-				t.Errorf("%v %s, 400 nodes: %.0f allocations per warm call against %.0f for 100 nodes: growing with the node count", alg, name, large, small)
+			if large > small+c.forGrowth {
+				t.Errorf("%v %s, %d nodes: %.0f allocations per warm call against %.0f for %d nodes: growing with the node count",
+					alg, c.name, c.large, large, small, c.small)
 			}
 		}
 	}

@@ -31,13 +31,16 @@ type Graph struct {
 	invCard []float64
 	// degrees caches |vi| (distinct neighbors per node) for EJS.
 	degrees []int32
+	// cost holds the scan-cost prefix sums the parallel passes balance
+	// their ID ranges with; nil until costPrefix first builds it.
+	cost []int64
 
 	// sc is this graph's private traversal scratch; shards get their own.
 	sc *scanScratch
 	// scratchPool recycles shard scratch across parallel passes — a
-	// multi-pass algorithm (WEP, the two Clean-Clean phases of the
-	// node-centric pass) reuses the same per-worker cell arrays instead of
-	// reallocating |E| cells every pass.
+	// multi-pass algorithm (WEP, the phases and bands of the node-centric
+	// pass) reuses the same per-worker cell arrays instead of reallocating
+	// |E| cells every pass.
 	scratchPool *sync.Pool
 
 	// obs carries the run's observability handle (cancellation polls and
@@ -269,7 +272,7 @@ func (g *Graph) accumulate(i entity.ID, others []entity.ID, inc float64, skipSel
 // write disjoint g.degrees indices).
 func (g *Graph) computeDegrees(workers int) {
 	g.degrees = make([]int32, g.blocks.NumEntities)
-	g.parallelRanges(workers, func(w *Graph, _, lo, hi int) {
+	g.parallelRangesIn(0, g.blocks.NumEntities, workers, func(w *Graph, _, lo, hi int) {
 		tick := obsTick{o: w.obs, m: w.meter}
 		for id := lo; id < hi; id++ {
 			if tick.step() {

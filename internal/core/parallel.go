@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"metablocking/internal/arena"
 	"metablocking/internal/entity"
@@ -15,7 +14,7 @@ import (
 // shard returns a Graph view sharing the immutable state (blocks, Entity
 // Index, per-block cardinalities, degrees) but with private ScanCount
 // scratch, so multiple shards can traverse concurrently. Scratch comes
-// from the graph's pool; parallelRanges recycles it when the shard's work
+// from the graph's pool; parallelRangesIn recycles it when the shard's work
 // is done.
 func (g *Graph) shard() *Graph {
 	ng := *g
@@ -70,9 +69,7 @@ func (g *Graph) scanNodeRange(lo, hi int, descending bool, fn func(i entity.ID, 
 func (g *Graph) forEachEdgeRange(lo, hi int, fn func(i, j entity.ID, w float64)) {
 	tick := obsTick{o: g.obs, m: g.meter}
 	clean := g.blocks.Task == entity.CleanClean
-	if clean && hi > g.blocks.Split {
-		hi = g.blocks.Split
-	}
+	hi = min(hi, g.emitEnd())
 	var weighed int64
 	for id := lo; id < hi; id++ {
 		if tick.step() {
@@ -124,41 +121,85 @@ func (g *Graph) meanOf(xs []float64) float64 {
 	return a.Sum() / float64(len(xs))
 }
 
-// parallelRanges splits [0, n) into roughly equal chunks, one per worker,
-// and runs fn(worker, lo, hi) concurrently on shard copies of the graph.
-// workers must already be resolved with par.Resolve; trailing workers with
-// an empty chunk are not started, so fn may index per-worker buckets with
-// its worker argument directly.
-func (g *Graph) parallelRanges(workers int, fn func(w *Graph, worker, lo, hi int)) {
-	g.parallelRangesIn(0, g.blocks.NumEntities, workers, fn)
-}
-
-// parallelRangesIn is parallelRanges over the node IDs of [from, to).
+// parallelRangesIn cuts the node IDs of [from, to) into one contiguous range
+// per worker, of near-equal scan cost rather than equal length (see
+// costPrefix), and runs fn(worker, lo, hi) concurrently on shard copies of
+// the graph. workers must already be resolved with par.Resolve; one worker
+// runs fn on g itself. A range comes out empty when its neighbor holds a node
+// dearer than a whole share; it starts no goroutine, so fn may index
+// per-worker buckets with its worker argument directly. The fan-out inherits
+// par's panic isolation: a panic in one range re-raises on the caller as a
+// *par.PanicError once the others have drained, and every range's scratch is
+// back in the pool by then.
 func (g *Graph) parallelRangesIn(from, to, workers int, fn func(w *Graph, worker, lo, hi int)) {
 	if workers <= 1 {
 		fn(g, 0, from, to)
 		return
 	}
-	var wg sync.WaitGroup
-	chunk := (to - from + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := from + w*chunk
-		hi := lo + chunk
-		if hi > to {
-			hi = to
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(worker, lo, hi int) {
-			defer wg.Done()
-			s := g.shard()
-			fn(s, worker, lo, hi)
-			g.scratchPool.Put(s.sc)
-		}(w, lo, hi)
+	par.RangesAt(g.costBounds(from, to, workers), func(worker, lo, hi int) {
+		s := g.shard()
+		defer g.scratchPool.Put(s.sc)
+		fn(s, worker, lo, hi)
+	})
+}
+
+// costBounds cuts the node IDs of [from, to) into parts contiguous ranges of
+// near-equal scan cost and returns their parts+1 ascending bounds.
+func (g *Graph) costBounds(from, to, parts int) []int {
+	return par.BalancedBounds(g.costPrefix(), from, to, parts)
+}
+
+// costPrefix returns the prefix sums of the per-node cost of a ScanCount
+// pass, computed on first use: prefix[i] is the cost of the nodes [0, i).
+// A node's cost is the loop trips its scan makes — for every block it is
+// in, the members scanNeighborhood walks plus the members with a larger ID,
+// whose edges the node weighs (forEachEdgeRange) or decides (decideRange).
+// The second term is what makes the verbose half of an ID-sorted collection
+// and the low end of a large block cost what they do; block member lists
+// are ascending, so it is the member's distance from the end of the list.
+func (g *Graph) costPrefix() []int64 {
+	if g.cost != nil {
+		return g.cost
 	}
-	wg.Wait()
+	prefix := make([]int64, g.blocks.NumEntities+1)
+	clean := g.blocks.Task == entity.CleanClean
+	for b := range g.blocks.Blocks {
+		blk := &g.blocks.Blocks[b]
+		if clean {
+			// Every E2 member has the larger ID.
+			for _, i := range blk.E1 {
+				prefix[i+1] += 2 * int64(len(blk.E2))
+			}
+			for _, j := range blk.E2 {
+				prefix[j+1] += int64(len(blk.E1))
+			}
+			continue
+		}
+		for k, i := range blk.E1 {
+			prefix[i+1] += int64(2*len(blk.E1) - 1 - k)
+		}
+	}
+	for i := 1; i < len(prefix); i++ {
+		prefix[i] += prefix[i-1]
+	}
+	g.cost = prefix
+	return prefix
+}
+
+// emitEnd bounds the IDs forEachEdgeRange emits from: every node for Dirty
+// ER, the E1 side for Clean-Clean ER.
+func (g *Graph) emitEnd() int {
+	if g.blocks.Task == entity.CleanClean {
+		return g.blocks.Split
+	}
+	return g.blocks.NumEntities
+}
+
+// parallelEdgeRanges fans an edge-centric pass out over the emitting IDs, so
+// that for Clean-Clean ER no worker is handed the E2 side, which emits
+// nothing.
+func (g *Graph) parallelEdgeRanges(workers int, fn func(w *Graph, worker, lo, hi int)) {
+	g.parallelRangesIn(0, g.emitEnd(), workers, fn)
 }
 
 // PruneParallel applies the pruning algorithm using the given number of
@@ -269,7 +310,7 @@ func (g *Graph) wepParallel(workers int) []entity.Pair {
 	// the resulting mean is bit-identical to the serial threshold for every
 	// worker count.
 	accs := make([]floatsum.Acc, workers)
-	g.parallelRanges(workers, func(w *Graph, worker, lo, hi int) {
+	g.parallelEdgeRanges(workers, func(w *Graph, worker, lo, hi int) {
 		acc := &accs[worker]
 		w.forEachEdgeRange(lo, hi, func(_, _ entity.ID, wt float64) {
 			acc.Add(wt)
@@ -286,7 +327,7 @@ func (g *Graph) wepParallel(workers int) []entity.Pair {
 
 	// Pass 2: retain in per-worker buckets over disjoint A ranges.
 	buckets := make([][]entity.Pair, workers)
-	g.parallelRanges(workers, func(w *Graph, worker, lo, hi int) {
+	g.parallelEdgeRanges(workers, func(w *Graph, worker, lo, hi int) {
 		var local []entity.Pair
 		w.forEachEdgeRange(lo, hi, func(i, j entity.ID, wt float64) {
 			if wt >= mean {
@@ -304,7 +345,7 @@ func (g *Graph) cepParallel(workers int) []entity.Pair {
 		return nil
 	}
 	heaps := make([]*edgeHeap, workers)
-	g.parallelRanges(workers, func(w *Graph, worker, lo, hi int) {
+	g.parallelEdgeRanges(workers, func(w *Graph, worker, lo, hi int) {
 		h := newEdgeHeap(k)
 		w.forEachEdgeRange(lo, hi, func(i, j entity.ID, wt float64) {
 			h.offer(wt, i, j)
@@ -329,15 +370,15 @@ func (g *Graph) cepParallel(workers int) []entity.Pair {
 	return out
 }
 
-// nodeBucket is one worker's output of the node-centric pass: one group
-// per scanned node i, in scan order (descending i), holding {A: i, B: j}
+// nodeBucket is the output of the node-centric pass over one ID range: one
+// group per scanned node i, in scan order (descending i), holding {A: i, B: j}
 // ascending in j — one slot per comparison of every edge to a larger
 // neighbor j that is retained or still undecided.
 type nodeBucket struct {
 	pairs []entity.Pair
 	// pending lists the undecided slots of pairs: edges whose larger
-	// endpoint lies in another worker's range, so its threshold is only
-	// known after the barrier.
+	// endpoint lies in a range that runs concurrently, so its threshold is
+	// only known after the barrier.
 	pending []pendingEdge
 }
 
@@ -350,7 +391,7 @@ type pendingEdge struct {
 
 // nodeCentricParallel retains exactly what the serial pass retains (see
 // nodeCentric) and emits it in canonical order without a global sort: every
-// worker scans its ID range downwards and decides each edge at its smaller
+// range of IDs is scanned downwards and decides each edge at its smaller
 // endpoint i, so its pairs all have A = i, the ranges are disjoint in A, and
 // ordering the result takes a sort of each node's few retained neighbors
 // plus one reversed copy of the buckets.
@@ -367,36 +408,65 @@ func (g *Graph) nodeCentricParallel(a Algorithm, workers int) []entity.Pair {
 	return out
 }
 
-// nodeBuckets runs the pass: per-worker buckets over ascending disjoint ID
-// ranges, and every neighborhood's threshold for resolving their pending
-// slots. For Clean-Clean ER every edge crosses Split, so the E2 side
-// settles its thresholds first and, after a barrier, the E1 side decides
-// all of its edges on the spot — nothing is left pending.
+// nodeBands is the number of cost-equal bands the parallel node-centric pass
+// cuts the ID space into. An edge between two ranges that run concurrently
+// waits on the pending list for the barrier, and cost-balanced ranges put
+// most edges of an ID-sorted collection there; in a band an edge crosses
+// ranges only if both endpoints lie in that band, so the pending list — and
+// with it the peak heap — shrinks as the band count grows (Reciprocal WNP on
+// the repository benchmark's batch_meta input: 664 630 slots in one band,
+// 94 028 in 16).
+const nodeBands = 16
+
+// nodeBuckets runs the pass: buckets over ascending disjoint ID ranges, one
+// per (band, worker), and every neighborhood's threshold for resolving their
+// pending slots. One worker scans one band, the whole ID space.
 func (g *Graph) nodeBuckets(a Algorithm, workers int) ([]nodeBucket, []nodeThreshold) {
+	bands := nodeBands
+	if workers <= 1 {
+		bands = 1
+	}
+	return g.nodeBucketsIn(a, workers, bands)
+}
+
+// nodeBucketsIn is nodeBuckets with the given number of bands. The bands run
+// top-down with a barrier between them, each cut into one cost-equal range
+// per worker: below a band every threshold above it is settled, so only the
+// edges between the ranges of one band are left pending. For Clean-Clean ER
+// every edge crosses Split, so the E2 side settles its thresholds first and
+// the E1 side decides all of its edges on the spot — nothing is pending at
+// all. A canceled run stops at the next barrier.
+func (g *Graph) nodeBucketsIn(a Algorithm, workers, bands int) ([]nodeBucket, []nodeThreshold) {
 	n := g.blocks.NumEntities
 	thresholds := make([]nodeThreshold, n)
-	buckets := make([]nodeBucket, workers)
-	to, knownFrom := n, n
-	if g.blocks.Task == entity.CleanClean {
-		to, knownFrom = g.blocks.Split, g.blocks.Split
-		g.parallelRangesIn(knownFrom, n, workers, func(w *Graph, _, lo, hi int) {
+	to := g.emitEnd()
+	if to < n { // Clean-Clean ER: the E2 side
+		g.parallelRangesIn(to, n, workers, func(w *Graph, _, lo, hi int) {
 			topK := w.newTopK(a)
 			w.forEachNodeRange(lo, hi, func(i entity.ID, neighbors []entity.ID, weights []float64) {
 				thresholds[i] = w.thresholdOf(topK, i, neighbors, weights) // disjoint index ranges: no race
 			})
 		})
 	}
-	g.parallelRangesIn(0, to, workers, func(w *Graph, worker, lo, hi int) {
-		buckets[worker] = w.decideRange(a, lo, hi, knownFrom, thresholds)
-	})
+	buckets := make([]nodeBucket, bands*workers)
+	cuts := []int{0, to}
+	if bands > 1 {
+		cuts = g.costBounds(0, to, bands)
+	}
+	for b := bands - 1; b >= 0 && !g.obs.Canceled(); b-- {
+		lo, hi := cuts[b], cuts[b+1]
+		g.parallelRangesIn(lo, hi, workers, func(w *Graph, worker, rlo, rhi int) {
+			buckets[b*workers+worker] = w.decideRange(a, rlo, rhi, hi, thresholds)
+		})
+	}
 	return buckets, thresholds
 }
 
 // decideRange scans the nodes of [lo, hi) downwards. At node i it stores
 // the threshold θi and handles every edge to a larger neighbor j (edges to
 // smaller ones are handled at j). When θj is known — j was scanned earlier
-// by this worker (j < hi) or in an earlier phase (j ≥ knownFrom) — the edge
-// gets its copies(okI, okJ) slots at once. Otherwise it gets the
+// in this range (j < hi) or in an earlier band or phase (j ≥ knownFrom) —
+// the edge gets its copies(okI, okJ) slots at once. Otherwise it gets the
 // copies(okI, false) slots no θj can take away, plus one pending slot if a
 // θj that admits it would add one: for the Reciprocal variants that is an
 // edge that met θi, for the Redefined ones an edge that failed it, for the

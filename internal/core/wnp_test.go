@@ -160,7 +160,50 @@ func wnpInputs() map[string]*block.Collection {
 		}
 	}
 	inputs["k-covers-all"] = dirtyOf(12, ring...)
+
+	// The shapes a cost-balanced split exists for, drawn from their own
+	// source so the inputs above stay what they were.
+	skewRng := rand.New(rand.NewSource(59))
+	inputs["dirty-skew"] = terseThenVerboseBlocks(skewRng, 27, 60, 40)
+	inputs["hub-half"] = hubBlocks(skewRng, 5, 40)
 	return inputs
+}
+
+// terseThenVerboseBlocks is an ID-sorted Dirty collection whose first terse
+// profiles sit in 2 of the blocks each and the rest in 9: the repository
+// benchmark's batch_meta shape (a 7-token source followed by a 32-token
+// one) in a handful of nodes.
+func terseThenVerboseBlocks(rng *rand.Rand, terse, numEntities, numBlocks int) *block.Collection {
+	members := make([][]entity.ID, numBlocks)
+	for i := 0; i < numEntities; i++ {
+		keys := 2
+		if i >= terse {
+			keys = 9
+		}
+		for _, b := range rng.Perm(numBlocks)[:keys] {
+			members[b] = append(members[b], entity.ID(i)) // ascending: i only grows
+		}
+	}
+	return dirtyOf(numEntities, slices.DeleteFunc(members, func(m []entity.ID) bool { return len(m) < 2 })...)
+}
+
+// hubBlocks pairs one low-ID hub with a random other profile, sixty times
+// over, next to a few blocks that avoid it: the hub alone carries half the
+// scan cost of the collection, so at any worker count the range that holds
+// it is over its share and the ones beside it run short or empty.
+func hubBlocks(rng *rand.Rand, hub entity.ID, numEntities int) *block.Collection {
+	var blocks [][]entity.ID
+	for b := 0; b < 60; b++ {
+		other := hub
+		for other == hub {
+			other = entity.ID(rng.Intn(numEntities))
+		}
+		blocks = append(blocks, []entity.ID{min(hub, other), max(hub, other)})
+	}
+	for b := 0; b < 5; b++ {
+		blocks = append(blocks, sampleIDs(rng, int(hub)+1, numEntities, 2))
+	}
+	return dirtyOf(numEntities, blocks...)
 }
 
 // TestSinglePassWNPMatchesTwoPass: for every input shape, scheme and worker
@@ -237,19 +280,25 @@ func TestCardinalityThresholdCorners(t *testing.T) {
 	}
 }
 
+// pendingSlots sums the pending lists of the buckets.
+func pendingSlots(buckets []nodeBucket) (pending int) {
+	for _, b := range buckets {
+		pending += len(b.pending)
+	}
+	return pending
+}
+
 // TestWNPPendingEdges pins where the pass defers a decision: never for
 // Clean-Clean ER (the two phases leave no threshold unknown) nor with one
-// worker, and — when all edges cross the boundary between two workers — in
-// exactly the slots the copies rule leaves open.
+// worker; when all edges cross the boundary between the two ranges of a
+// band, in exactly the slots the copies rule leaves open; and in fewer slots
+// the more bands the ID space is cut into, for the same output.
 func TestWNPPendingEdges(t *testing.T) {
 	inputs := wnpInputs()
-	pendingOf := func(blocks *block.Collection, alg Algorithm, workers int) (pending int) {
+	pendingOf := func(blocks *block.Collection, alg Algorithm, workers int) int {
 		g := NewGraph(blocks, JS)
 		buckets, _ := g.nodeBuckets(alg, par.Resolve(workers, blocks.NumEntities))
-		for _, b := range buckets {
-			pending += len(b.pending)
-		}
-		return pending
+		return pendingSlots(buckets)
 	}
 	for _, alg := range nodeCentricFamilies {
 		for _, name := range []string{"clean", "clean-skew", "tied-clean"} {
@@ -264,14 +313,15 @@ func TestWNPPendingEdges(t *testing.T) {
 		}
 	}
 
-	// On crossing at two workers the lower range decides nothing for good
-	// but what its own thresholds settle, and the upper range has no larger
-	// neighbor to emit to. With met of the |E| edges admitted by their
-	// smaller endpoint: the originals settle one slot per admitted edge and
-	// leave one pending per edge; Redefined settles the admitted edges and
-	// defers the rest; Reciprocal keeps an edge only through the pending
-	// list.
+	// On crossing, as one band cut in the middle, the lower range decides
+	// nothing for good but what its own thresholds settle, and the upper
+	// range has no larger neighbor to emit to. With met of the |E| edges
+	// admitted by their smaller endpoint: the originals settle one slot per
+	// admitted edge and leave one pending per edge; Redefined settles the
+	// admitted edges and defers the rest; Reciprocal keeps an edge only
+	// through the pending list.
 	g := NewGraph(inputs["crossing"], JS)
+	n := inputs["crossing"].NumEntities
 	edges := int(g.NumEdges())
 	for _, alg := range nodeCentricFamilies {
 		verdicts, met := endpointVerdicts(g, alg), 0
@@ -290,13 +340,43 @@ func TestWNPPendingEdges(t *testing.T) {
 		case ReciprocalCNP, ReciprocalWNP:
 			wantPending, wantSettled = met, 0
 		}
-		buckets, _ := g.nodeBuckets(alg, 2)
+		// The two ranges of the band, as their workers would run them: either
+		// order, since neither reads a threshold the other writes.
+		thresholds := make([]nodeThreshold, n)
+		buckets := []nodeBucket{g.decideRange(alg, 0, n/2, n, thresholds), g.decideRange(alg, n/2, n, n, thresholds)}
 		pending := len(buckets[0].pending)
 		if settled := len(buckets[0].pairs) - pending; pending != wantPending || settled != wantSettled {
 			t.Errorf("crossing %v: %d pending and %d settled slots, want %d and %d", alg, pending, settled, wantPending, wantSettled)
 		}
 		if len(buckets[1].pairs) != 0 {
 			t.Errorf("crossing %v: upper range emitted %d pairs, want 0", alg, len(buckets[1].pairs))
+		}
+	}
+
+	// Bands are what keeps a cost-balanced split from paying for its speed
+	// in pending slots: an edge waits for the barrier only if both endpoints
+	// lie in one band.
+	for _, alg := range nodeCentricFamilies {
+		g := NewGraph(inputs["dirty"], JS)
+		want := g.PruneParallel(alg, 1)
+		pendingIn := func(bands int) int {
+			buckets, thresholds := g.nodeBucketsIn(alg, 2, bands)
+			pending := pendingSlots(buckets)
+			var got []entity.Pair
+			for b := range buckets {
+				buckets[b].resolve(thresholds)
+				got = buckets[b].appendAscending(got)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("dirty %v in %d bands: %d pairs, one worker retains %d", alg, bands, len(got), len(want))
+			}
+			return pending
+		}
+		oneBand := pendingIn(1)
+		for _, bands := range []int{4, nodeBands} {
+			if pending := pendingIn(bands); pending >= oneBand {
+				t.Errorf("dirty %v: %d pending slots in %d bands, %d in one: want strictly fewer", alg, pending, bands, oneBand)
+			}
 		}
 	}
 }

@@ -3,11 +3,15 @@
 // isolation. Every parallel stage (blocking, filtering, Entity Index
 // construction, graph traversal) partitions its input into one contiguous
 // range per worker, so results can be merged back in worker order without
-// any cross-worker coordination.
+// any cross-worker coordination. Where the ranges end changes who computes
+// a result, never the result: Ranges cuts evenly, for stages whose items
+// cost about the same; BalancedBounds cuts a cost prefix sum into parts of
+// near-equal cost for RangesAt, for stages whose items do not (the blocking
+// graph's traversals, where a node costs its neighborhood).
 //
 // A panic inside a worker goroutine would normally kill the whole process
-// — there is no recovering another goroutine's panic. Ranges and Do
-// therefore recover inside each worker, let every other worker drain, and
+// — there is no recovering another goroutine's panic. Ranges, RangesAt and
+// Do therefore recover inside each worker, let every other worker drain, and
 // re-panic the first captured panic as a *PanicError (stack attached) on
 // the calling goroutine, where a top-level recover (Pipeline.RunContext,
 // the server's flush loop) can turn it into an ordinary error.
@@ -17,6 +21,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -77,48 +82,87 @@ func Resolve(workers, n int) int {
 	return workers
 }
 
-// Ranges splits [0, n) into one contiguous chunk per worker and runs
-// fn(worker, lo, hi) concurrently. workers must already be resolved
-// (≥ 1); workers == 1 runs fn inline with the full range. Trailing workers
-// whose chunk is empty are not started, so fn may index per-worker result
-// buckets with its worker argument directly.
+// Ranges splits [0, n) into one contiguous chunk of ⌈n/workers⌉ items per
+// worker and runs fn(worker, lo, hi) concurrently — RangesAt on even bounds.
+// workers must already be resolved (≥ 1); workers == 1 runs fn inline with
+// the full range. Trailing workers whose chunk is empty are not started, so
+// fn may index per-worker result buckets with its worker argument directly.
+func Ranges(workers, n int, fn func(worker, lo, hi int)) {
+	if workers <= 1 || n == 0 {
+		inline(0, n, fn)
+		return
+	}
+	chunk := (n + workers - 1) / workers
+	bounds := make([]int, workers+1)
+	for w := range bounds {
+		bounds[w] = min(w*chunk, n)
+	}
+	RangesAt(bounds, fn)
+}
+
+// RangesAt runs fn(part, bounds[part], bounds[part+1]) concurrently for
+// every non-empty part of the ascending bounds — the fan-out for a stage
+// whose items differ in cost, with bounds from BalancedBounds. An empty part
+// starts no goroutine, so fn may still index per-part result buckets with
+// its first argument; a single part runs inline.
 //
 // A panic inside fn does not kill the process: every other worker drains,
 // then the first captured panic is re-raised on the calling goroutine as a
 // *PanicError carrying the worker's stack.
-func Ranges(workers, n int, fn func(worker, lo, hi int)) {
-	if workers <= 1 || n == 0 {
-		if pe := guard(func() { fn(0, 0, n) }); pe != nil {
-			panic(pe)
-		}
+func RangesAt(bounds []int, fn func(part, lo, hi int)) {
+	if len(bounds) == 2 {
+		inline(bounds[0], bounds[1], fn)
 		return
 	}
-	chunk := (n + workers - 1) / workers
 	var (
 		wg    sync.WaitGroup
 		first atomic.Pointer[PanicError]
 	)
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	for part := 0; part+1 < len(bounds); part++ {
+		lo, hi := bounds[part], bounds[part+1]
 		if lo >= hi {
-			break
+			continue
 		}
 		wg.Add(1)
-		go func(worker, lo, hi int) {
+		go func(part, lo, hi int) {
 			defer wg.Done()
-			if pe := guard(func() { fn(worker, lo, hi) }); pe != nil {
+			if pe := guard(func() { fn(part, lo, hi) }); pe != nil {
 				first.CompareAndSwap(nil, pe)
 			}
-		}(w, lo, hi)
+		}(part, lo, hi)
 	}
 	wg.Wait()
 	if pe := first.Load(); pe != nil {
 		panic(pe)
 	}
+}
+
+// inline runs fn(0, lo, hi) on the calling goroutine, re-raising a panic as
+// a *PanicError like the concurrent form does.
+func inline(lo, hi int, fn func(part, lo, hi int)) {
+	if pe := guard(func() { fn(0, lo, hi) }); pe != nil {
+		panic(pe)
+	}
+}
+
+// BalancedBounds cuts the items [from, to) into parts contiguous ranges of
+// near-equal cost and returns their parts+1 ascending bounds for RangesAt.
+// prefix[i] is the total cost of the items [0, i) (len ≥ to+1, costs ≥ 0).
+// Cut k is the first index at which the running cost reaches k/parts of the
+// range's total, so no part costs more than total/parts plus its most
+// expensive item. An item dearer than that share leaves the parts after it
+// empty, as do parts beyond the item count; when nothing in the range costs
+// anything the last part takes it all.
+func BalancedBounds(prefix []int64, from, to, parts int) []int {
+	bounds := make([]int, parts+1)
+	bounds[0], bounds[parts] = from, to
+	base, total := prefix[from], prefix[to]-prefix[from]
+	for k := 1; k < parts; k++ {
+		target := base + total*int64(k)/int64(parts)
+		lo := bounds[k-1]
+		bounds[k] = lo + sort.Search(to-lo, func(i int) bool { return prefix[lo+i] >= target })
+	}
+	return bounds
 }
 
 // Do runs the given thunks concurrently and waits for all of them — the

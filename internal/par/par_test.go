@@ -2,7 +2,10 @@ package par
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -125,5 +128,133 @@ func TestRecoveredIdempotent(t *testing.T) {
 	}()
 	if pe == nil || pe.Value != "deep" {
 		t.Fatalf("nested panic = %+v", pe)
+	}
+}
+
+// prefixOf returns the prefix sums BalancedBounds takes.
+func prefixOf(costs []int64) []int64 {
+	prefix := make([]int64, len(costs)+1)
+	for i, c := range costs {
+		prefix[i+1] = prefix[i] + c
+	}
+	return prefix
+}
+
+// TestBalancedBounds: the bounds ascend from from to to — so the parts cover
+// the range exactly once — and no part costs more than its share plus the
+// dearest single item, whatever the skew.
+func TestBalancedBounds(t *testing.T) {
+	ramp := make([]int64, 100)
+	for i := range ramp {
+		ramp[i] = int64(i)
+	}
+	terseThenVerbose := make([]int64, 60)
+	for i := range terseThenVerbose {
+		terseThenVerbose[i] = 7
+		if i >= 27 {
+			terseThenVerbose[i] = 70
+		}
+	}
+	mega := []int64{3, 1, 4, 1, 5, 1000, 9, 2, 6, 5, 3, 5}
+	cases := []struct {
+		name     string
+		costs    []int64
+		from, to int
+		parts    int
+		want     []int // nil: check the invariants only
+	}{
+		{name: "uniform", costs: []int64{1, 1, 1, 1, 1, 1, 1, 1}, to: 8, parts: 4, want: []int{0, 2, 4, 6, 8}},
+		{name: "one part", costs: ramp, to: 100, parts: 1, want: []int{0, 100}},
+		{name: "ramp", costs: ramp, to: 100, parts: 3},
+		{name: "sub-range", costs: ramp, from: 40, to: 90, parts: 4},
+		{name: "terse then verbose", costs: terseThenVerbose, to: 60, parts: 2},
+		// Item 5 outweighs three shares: it closes part 0, and parts 1 and 2
+		// — whose targets it already passed — are empty.
+		{name: "mega item", costs: mega, to: 12, parts: 4, want: []int{0, 6, 6, 6, 12}},
+		{name: "mega item first", costs: []int64{1000, 1, 1, 1}, to: 4, parts: 2, want: []int{0, 1, 4}},
+		{name: "mega item last", costs: []int64{1, 1, 1, 1000}, to: 4, parts: 2, want: []int{0, 4, 4}},
+		// Entities in no block cost nothing: the last part takes them all.
+		{name: "all zero", costs: make([]int64, 9), to: 9, parts: 3, want: []int{0, 0, 0, 9}},
+		{name: "zero runs", costs: []int64{0, 0, 5, 0, 0, 5, 0, 0}, to: 8, parts: 2, want: []int{0, 3, 8}},
+		{name: "more parts than items", costs: []int64{2, 2, 2}, to: 3, parts: 7},
+		{name: "empty range", costs: ramp, from: 50, to: 50, parts: 3, want: []int{50, 50, 50, 50}},
+	}
+	for _, c := range cases {
+		prefix := prefixOf(c.costs)
+		got := BalancedBounds(prefix, c.from, c.to, c.parts)
+		if c.want != nil && !slices.Equal(got, c.want) {
+			t.Errorf("%s: bounds %v, want %v", c.name, got, c.want)
+		}
+		if len(got) != c.parts+1 || got[0] != c.from || got[c.parts] != c.to || !slices.IsSorted(got) {
+			t.Errorf("%s: bounds %v do not cut [%d, %d) into %d ascending parts", c.name, got, c.from, c.to, c.parts)
+			continue
+		}
+		total, dearest := prefix[c.to]-prefix[c.from], int64(0)
+		for _, cost := range c.costs[c.from:c.to] {
+			dearest = max(dearest, cost)
+		}
+		for p := 0; p < c.parts; p++ {
+			if cost := prefix[got[p+1]] - prefix[got[p]]; cost > total/int64(c.parts)+dearest {
+				t.Errorf("%s: part %d [%d, %d) costs %d of %d, more than a share of %d parts plus the dearest item %d",
+					c.name, p, got[p], got[p+1], cost, total, c.parts, dearest)
+			}
+		}
+	}
+}
+
+// TestRangesAt: every non-empty part runs once with its own index, an empty
+// part starts nothing, and a single part runs on the calling goroutine.
+func TestRangesAt(t *testing.T) {
+	var mu sync.Mutex
+	got := map[int][2]int{}
+	RangesAt([]int{3, 3, 10, 10, 10, 12, 12}, func(part, lo, hi int) {
+		mu.Lock()
+		defer mu.Unlock()
+		if _, dup := got[part]; dup {
+			t.Errorf("part %d ran twice", part)
+		}
+		got[part] = [2]int{lo, hi}
+	})
+	if want := map[int][2]int{1: {3, 10}, 4: {10, 12}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("parts run: %v, want %v", got, want)
+	}
+
+	inline := false
+	func() {
+		defer func() {
+			// A panic on the calling goroutine unwinds through this frame.
+			inline = recover() != nil
+		}()
+		RangesAt([]int{0, 5}, func(part, lo, hi int) { panic("on the caller's stack") })
+	}()
+	if !inline {
+		t.Error("a single part did not run inline")
+	}
+}
+
+// TestRangesEvenSplit pins the chunks Ranges has always handed the blocking,
+// filtering and Entity Index stages: ⌈n/workers⌉ items each, trailing
+// workers idle.
+func TestRangesEvenSplit(t *testing.T) {
+	for _, c := range []struct {
+		workers, n int
+		want       map[int][2]int
+	}{
+		{workers: 3, n: 10, want: map[int][2]int{0: {0, 4}, 1: {4, 8}, 2: {8, 10}}},
+		{workers: 4, n: 9, want: map[int][2]int{0: {0, 3}, 1: {3, 6}, 2: {6, 9}}},
+		{workers: 4, n: 2, want: map[int][2]int{0: {0, 1}, 1: {1, 2}}},
+		{workers: 1, n: 5, want: map[int][2]int{0: {0, 5}}},
+		{workers: 3, n: 0, want: map[int][2]int{0: {0, 0}}},
+	} {
+		var mu sync.Mutex
+		got := map[int][2]int{}
+		Ranges(c.workers, c.n, func(w, lo, hi int) {
+			mu.Lock()
+			got[w] = [2]int{lo, hi}
+			mu.Unlock()
+		})
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("Ranges(%d, %d): chunks %v, want %v", c.workers, c.n, got, c.want)
+		}
 	}
 }
