@@ -17,7 +17,7 @@ check:
 ## race: run the packages with concurrency — including the root package's
 ## observability/cancellation tests — under the race detector.
 race:
-	$(GO) test -race . ./internal/core/... ./internal/block/... ./internal/blocking/... ./internal/blockproc/... ./internal/obs/... ./internal/oracle/... ./internal/server/... ./internal/shard/... ./internal/incremental/... ./internal/budget/... ./internal/loadgen/... ./internal/fault/... ./internal/par/... ./internal/store/... ./internal/diskindex/... ./cmd/serve
+	$(GO) test -race . ./internal/core/... ./internal/block/... ./internal/blocking/... ./internal/blockproc/... ./internal/obs/... ./internal/oracle/... ./internal/server/... ./internal/shard/... ./internal/incremental/... ./internal/budget/... ./internal/fault/... ./internal/par/... ./internal/store/... ./internal/diskindex/... ./cmd/serve
 
 ## cover: fail if total statement coverage drops below COVER_BASELINE.
 cover:
@@ -73,15 +73,14 @@ bench-parallel:
 bench-serve:
 	$(GO) test -run xxx -bench 'BenchmarkServerResolve' ./internal/server
 
-## bench-json: emit the headline benchmark trajectory as JSON
-## (BENCH_PR10.json format: ns/op, B/op, allocs/op, p50/p99 latency,
-## streamed comparisons/ms).
+## bench-json: emit the allocs/op gate's rows as JSON (BENCH_PR10.json
+## format: allocs/op, plus ns/op and B/op as an informational record).
+## Wall-clock numbers come from benchmark/ (BENCHMARK.json), not here.
 bench-json:
 	sh scripts/bench_json.sh
 
-## bench-gate: re-run the headline benchmarks and fail if a gated metric
-## regressed beyond its tolerance vs the committed BENCH_PR10.json.
-## allocs/op is always gated (hardware-independent); add -ns via
-## BENCH_GATE_FLAGS for same-machine wall-clock gating.
+## bench-gate: re-run the headline benchmarks and fail if any row's
+## allocs/op (hardware-independent) regressed beyond its tolerance vs
+## the committed BENCH_PR10.json.
 bench-gate:
-	$(GO) run ./cmd/benchjson gate -baseline BENCH_PR10.json $(BENCH_GATE_FLAGS)
+	$(GO) run ./cmd/benchjson gate -baseline BENCH_PR10.json

@@ -1,33 +1,29 @@
-// Command benchjson emits the repository's headline benchmark numbers as
-// machine-readable JSON and gates a fresh run against a committed
-// trajectory file (BENCH_PR10.json), failing on regressions.
+// Command benchjson is the repository's allocation gate: it runs the
+// headline benchmarks in-process and fails when allocs/op regressed
+// against a committed file (BENCH_PR10.json). Wall-clock numbers are
+// not its job: the benchmark/ harness, declared in BENCHMARK.json,
+// measures latency, throughput and memory of the real binaries.
 //
 // Two modes:
 //
 //	benchjson emit [-o out.json]
-//	    runs the headline benchmarks in-process (testing.Benchmark) and
-//	    writes {"schema":1,"benchmarks":{...}}: ns/op, B/op, allocs/op
-//	    for the serial pipeline, the batched server resolve path and the
-//	    out-of-core read path (cold and warm page cache), plus p50/p99
-//	    request latency under concurrent load — for the synchronous
-//	    resolve path, for the budget-aware interactive streaming mode
-//	    (resolve_budget_interactive: per-stream p50/p99 and emitted
-//	    comparisons per wall-clock millisecond), and for the disk-mode
-//	    commit path under each write-ahead-log sync policy
-//	    (commit_wal_off / commit_wal_interval / commit_wal_always —
-//	    what the durability ladder costs per acknowledged write).
+//	    runs the headline benchmarks (testing.Benchmark) and writes
+//	    {"schema":1,"benchmarks":{...}}: allocs/op for the serial
+//	    pipeline, the batched server resolve path (monolithic plus the
+//	    4- and 16-shard scatter-gather sweep), the out-of-core read path
+//	    (cold and warm page cache) and the disk-mode commit path under
+//	    each write-ahead-log sync policy (commit_wal_off /
+//	    commit_wal_interval / commit_wal_always). ns/op and B/op come
+//	    free with every testing.BenchmarkResult and are recorded as
+//	    information only.
 //
-//	benchjson gate -baseline BENCH_PR10.json [-current fresh.json] [-ns]
-//	    compares a current emit against the baseline's benchmarks
-//	    section and exits non-zero when a gated metric regressed beyond
-//	    its tolerance. allocs/op is always gated — it is
-//	    hardware-independent, so it is the CI-safe signal. ns/op and the
-//	    latency percentiles are gated only with -ns (same-machine runs);
-//	    on shared CI hosts wall-clock is noise, allocation count is not.
-//	    Per-benchmark tolerances embedded in the baseline file
-//	    (alloc_tolerance, ns_tolerance) override the -threshold default.
-//
-// With no -current, gate runs emit itself and compares the live numbers.
+//	benchjson gate -baseline BENCH_PR10.json
+//	    runs the same benchmarks and exits non-zero when any row of the
+//	    baseline's benchmarks section is missing or its allocs/op
+//	    exceeds base·(1+tolerance) — so a zero-allocation row fails on
+//	    its first allocation. allocs/op is hardware-independent, so the
+//	    gate fails the same way on any host. A row's alloc_tolerance
+//	    overrides defaultAllocTolerance.
 package main
 
 import (
@@ -35,52 +31,44 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http/httptest"
+	"maps"
 	"os"
 	"runtime"
-	"sort"
-	"sync"
+	"slices"
 	"testing"
 	"time"
 
 	"metablocking"
-	"metablocking/internal/budget"
 	"metablocking/internal/core"
 	"metablocking/internal/datagen"
 	"metablocking/internal/diskindex"
 	"metablocking/internal/entity"
 	"metablocking/internal/incremental"
-	"metablocking/internal/loadgen"
 	"metablocking/internal/server"
 	"metablocking/internal/shard"
 	"metablocking/internal/store"
 )
 
+// defaultAllocTolerance is the allowed allocs/op growth (a fraction:
+// 0.10 = fail beyond +10%) for rows without their own alloc_tolerance.
+const defaultAllocTolerance = 0.10
+
 // Bench is one benchmark's recorded metrics plus its optional gate
-// tolerances (fractions: 0.10 = fail beyond +10%).
+// tolerance. Only AllocsPerOp is gated; the rest is informational.
 type Bench struct {
 	NsPerOp          float64 `json:"ns_per_op"`
 	BytesPerOp       int64   `json:"bytes_per_op"`
 	AllocsPerOp      int64   `json:"allocs_per_op"`
-	P50Ns            int64   `json:"p50_ns,omitempty"`
-	P99Ns            int64   `json:"p99_ns,omitempty"`
 	ProfilesPerBatch float64 `json:"profiles_per_batch,omitempty"`
-	// ComparisonsPerMs is the progressive-serving throughput: ranked
-	// candidates emitted to streaming clients per wall-clock millisecond
-	// across the whole run (informational — wall-clock, never gated).
-	ComparisonsPerMs float64 `json:"comparisons_per_ms,omitempty"`
 	AllocTolerance   float64 `json:"alloc_tolerance,omitempty"`
-	NsTolerance      float64 `json:"ns_tolerance,omitempty"`
 }
 
-// File is the trajectory artifact: the current numbers, and for the
-// committed BENCH_PR8.json also the pre-PR baseline they improved on.
+// File is the committed gate artifact.
 type File struct {
 	Schema     int              `json:"schema"`
 	PR         int              `json:"pr,omitempty"`
 	Note       string           `json:"note,omitempty"`
 	Go         string           `json:"go,omitempty"`
-	Baseline   map[string]Bench `json:"baseline,omitempty"`
 	Benchmarks map[string]Bench `json:"benchmarks"`
 }
 
@@ -98,23 +86,10 @@ func main() {
 		writeJSON(*out, f)
 	case "gate":
 		fs := flag.NewFlagSet("gate", flag.ExitOnError)
-		basePath := fs.String("baseline", "BENCH_PR10.json", "committed trajectory file")
-		curPath := fs.String("current", "", "fresh emit to compare (default: run emit now)")
-		threshold := fs.String("threshold", "0.10", "default regression tolerance (fraction)")
-		gateNs := fs.Bool("ns", false, "also gate ns/op and latency percentiles (same-machine runs only)")
+		basePath := fs.String("baseline", "BENCH_PR10.json", "committed benchmark file")
 		fs.Parse(os.Args[2:])
-		var thr float64
-		if _, err := fmt.Sscanf(*threshold, "%f", &thr); err != nil || thr <= 0 {
-			fatalf("bad -threshold %q", *threshold)
-		}
 		base := readJSON(*basePath)
-		var cur File
-		if *curPath != "" {
-			cur = readJSON(*curPath)
-		} else {
-			cur = File{Schema: 1, Benchmarks: runAll()}
-		}
-		if !gate(base, cur, thr, *gateNs) {
+		if !gate(base.Benchmarks, runAll()) {
 			os.Exit(1)
 		}
 	default:
@@ -134,10 +109,6 @@ func runAll() map[string]Bench {
 		fmt.Fprintln(os.Stderr, "benchjson: running "+name+" ...")
 		out[name] = benchServerResolve(shards)
 	}
-	fmt.Fprintln(os.Stderr, "benchjson: running server_latency ...")
-	out["server_latency"] = benchServerLatency()
-	fmt.Fprintln(os.Stderr, "benchjson: running resolve_budget_interactive ...")
-	out["resolve_budget_interactive"] = benchBudgetStream()
 	fmt.Fprintln(os.Stderr, "benchjson: running resolve_disk_cold ...")
 	out["resolve_disk_cold"] = benchResolveDisk(1)
 	fmt.Fprintln(os.Stderr, "benchjson: running resolve_disk_warm ...")
@@ -177,27 +148,15 @@ func benchCommit(policy string) Bench {
 	}
 	defer s.Close()
 
-	var durs []time.Duration
 	r := testing.Benchmark(func(b *testing.B) {
-		durs = make([]time.Duration, 0, b.N)
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			start := time.Now()
 			if _, err := s.Resolve(context.Background(), profiles[i%len(profiles)]); err != nil {
 				fatalf("commit bench: resolve: %v", err)
 			}
-			durs = append(durs, time.Since(start))
 		}
 	})
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	out := fromResult(r)
-	if len(durs) > 0 {
-		pct := func(p float64) int64 { return durs[int(p*float64(len(durs)-1))].Nanoseconds() }
-		out.P50Ns = pct(0.50)
-		out.P99Ns = pct(0.99)
-	}
-	return out
+	return fromResult(r)
 }
 
 // benchPipeline mirrors BenchmarkParallelPipeline/workers=1: the full
@@ -260,101 +219,6 @@ func benchServerResolve(shards int) Bench {
 		out.ProfilesPerBatch = float64(s.Metrics().Counter(server.CtrBatchedProfs).Value()) / float64(batches)
 	}
 	return out
-}
-
-// benchServerLatency measures per-request wall-clock latency under
-// concurrent load (8 clients, fresh server) and reports p50/p99.
-func benchServerLatency() Bench {
-	const clients, perClient = 8, 500
-	profiles := benchProfiles(1000)
-	s, err := server.New(server.Config{
-		Resolver:    incremental.Config{Scheme: core.JS, K: 10},
-		BatchWindow: 200 * time.Microsecond,
-		MaxBatch:    64,
-		QueueDepth:  8192,
-	})
-	if err != nil {
-		fatalf("server: %v", err)
-	}
-	defer s.Close()
-
-	durs := make([][]time.Duration, clients)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			ds := make([]time.Duration, 0, perClient)
-			for i := 0; i < perClient; i++ {
-				p := profiles[(c*perClient+i)%len(profiles)]
-				start := time.Now()
-				if _, err := s.Resolve(context.Background(), p); err != nil {
-					fatalf("resolve: %v", err)
-				}
-				ds = append(ds, time.Since(start))
-			}
-			durs[c] = ds
-		}(c)
-	}
-	wg.Wait()
-	var all []time.Duration
-	for _, ds := range durs {
-		all = append(all, ds...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	pct := func(p float64) int64 {
-		i := int(p * float64(len(all)-1))
-		return all[i].Nanoseconds()
-	}
-	return Bench{P50Ns: pct(0.50), P99Ns: pct(0.99)}
-}
-
-// benchBudgetStream measures the budget-aware progressive path end to
-// end over HTTP: interactive-tier NDJSON streams (default 250ms tier
-// budget, 16-candidate frames) driven by the mixed-tier load generator
-// with every request on the interactive tier. Reported are per-stream
-// wall-clock p50/p99 — the latency a budget-bound client observes from
-// POST to terminal frame — and comparisons-per-ms, the rate at which
-// ranked candidates cross the wire across the whole run.
-func benchBudgetStream() Bench {
-	const clients, requests = 8, 2000
-	profiles := benchProfiles(1000)
-	s, err := server.New(server.Config{
-		Resolver:    incremental.Config{Scheme: core.JS, K: 10},
-		BatchWindow: 200 * time.Microsecond,
-		MaxBatch:    64,
-		QueueDepth:  8192,
-		Tiers: []budget.Tier{
-			{Name: budget.TierInteractive, Slots: 64, DefaultBudget: 250 * time.Millisecond},
-			{Name: budget.TierBatch, Slots: 8, DefaultBudget: 5 * time.Second},
-		},
-		StreamBatch: 16,
-	})
-	if err != nil {
-		fatalf("server: %v", err)
-	}
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	start := time.Now()
-	rep := loadgen.RunMixed(loadgen.HTTPStreamer(ts.URL, ts.Client()), profiles, loadgen.MixedOptions{
-		Options:    loadgen.Options{Clients: clients, Requests: requests},
-		BatchRatio: 0, // headline row is the interactive tier
-	})
-	elapsed := time.Since(start)
-	if len(rep.Errors) > 0 {
-		fatalf("budget stream: %v", rep.Errors[0])
-	}
-	if rep.Interactive.Rejected > 0 {
-		fatalf("budget stream: %d interactive requests shed (tier slots misconfigured)", rep.Interactive.Rejected)
-	}
-	emitted := s.Metrics().Counter(budget.CtrComparisons).Value()
-	return Bench{
-		P50Ns:            rep.Interactive.P50.Nanoseconds(),
-		P99Ns:            rep.Interactive.P99.Nanoseconds(),
-		ComparisonsPerMs: float64(emitted) / (float64(elapsed.Nanoseconds()) / 1e6),
-	}
 }
 
 // benchResolveDisk measures the out-of-core read path: 1000 profiles
@@ -453,53 +317,31 @@ func fromResult(r testing.BenchmarkResult) Bench {
 	}
 }
 
-// gate compares current against baseline and reports every gated metric.
-// It returns false when any metric regressed beyond its tolerance.
-func gate(base, cur File, defThr float64, gateNs bool) bool {
-	names := make([]string, 0, len(base.Benchmarks))
-	for name := range base.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+// gate compares cur against base row by row and prints each verdict.
+// It returns false when a baseline row is missing from cur or its
+// allocs/op exceeds base·(1+tolerance).
+func gate(base, cur map[string]Bench) bool {
 	ok := true
-	check := func(name, metric string, baseV, curV, tol float64, gated bool) {
-		if baseV <= 0 {
-			return
-		}
-		delta := (curV - baseV) / baseV
-		status := "info"
-		if gated {
-			status = "ok"
-			if delta > tol {
-				status = "FAIL"
-				ok = false
-			}
-		}
-		fmt.Printf("%-22s %-18s base=%.0f cur=%.0f delta=%+.1f%% tol=%.0f%% [%s]\n",
-			name, metric, baseV, curV, 100*delta, 100*tol, status)
-	}
-	for _, name := range names {
-		b := base.Benchmarks[name]
-		c, present := cur.Benchmarks[name]
+	for _, name := range slices.Sorted(maps.Keys(base)) {
+		b := base[name]
+		c, present := cur[name]
 		if !present {
-			fmt.Printf("%-22s MISSING from current run [FAIL]\n", name)
+			fmt.Printf("%-24s MISSING from current run [FAIL]\n", name)
 			ok = false
 			continue
 		}
-		allocTol, nsTol := b.AllocTolerance, b.NsTolerance
-		if allocTol == 0 {
-			allocTol = defThr
+		tol := b.AllocTolerance
+		if tol == 0 {
+			tol = defaultAllocTolerance
 		}
-		if nsTol == 0 {
-			nsTol = defThr
+		limit := float64(b.AllocsPerOp) * (1 + tol)
+		status := "ok"
+		if float64(c.AllocsPerOp) > limit {
+			status = "FAIL"
+			ok = false
 		}
-		check(name, "allocs/op", float64(b.AllocsPerOp), float64(c.AllocsPerOp), allocTol, true)
-		check(name, "ns/op", b.NsPerOp, c.NsPerOp, nsTol, gateNs)
-		check(name, "p50_ns", float64(b.P50Ns), float64(c.P50Ns), nsTol, gateNs)
-		check(name, "p99_ns", float64(b.P99Ns), float64(c.P99Ns), nsTol, gateNs)
-		// Throughput runs the other way (higher is better) and is pure
-		// wall-clock, so it is informational at every gating level.
-		check(name, "cmp/ms", b.ComparisonsPerMs, c.ComparisonsPerMs, nsTol, false)
+		fmt.Printf("%-24s allocs/op base=%d cur=%d limit=%.1f (+%.0f%%) [%s]\n",
+			name, b.AllocsPerOp, c.AllocsPerOp, limit, 100*tol, status)
 	}
 	if !ok {
 		fmt.Println("benchjson: REGRESSION detected")

@@ -67,8 +67,8 @@ type SnapshotResponse struct {
 }
 
 // Stable machine-readable error codes of the /v1 API. Every non-2xx
-// response carries one in its envelope; clients (internal/loadgen)
-// branch on the code, never on the message text or status phrase.
+// response carries one in its envelope; clients branch on the code,
+// never on the message text or status phrase.
 const (
 	// CodeInvalidRequest (400): the request body could not be read or
 	// decoded at all.

@@ -11,15 +11,15 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"metablocking/internal/core"
-	"metablocking/internal/dataio"
 	"metablocking/internal/datagen"
+	"metablocking/internal/dataio"
 	"metablocking/internal/entity"
 	"metablocking/internal/incremental"
-	"metablocking/internal/loadgen"
 	"metablocking/internal/store"
 )
 
@@ -57,6 +57,76 @@ func newTestServer(t testing.TB, cfg Config, opts ...Option) *Server {
 	return s
 }
 
+// resolved is one /v1/resolve answer: the profile posted, the ID the
+// server assigned it and the candidates it returned.
+type resolved struct {
+	profile    entity.Profile
+	id         entity.ID
+	candidates []incremental.Candidate
+}
+
+// resolveHTTP posts every profile once to ts's /v1/resolve from clients
+// concurrent goroutines and returns the answers in profile order. A
+// transport error or any non-200 response is an error: the callers
+// configure queues that never shed.
+func resolveHTTP(ts *httptest.Server, clients int, profiles []entity.Profile) ([]resolved, error) {
+	out := make([]resolved, len(profiles))
+	var (
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		errOnce  sync.Once
+		firstErr error
+	)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(profiles) {
+					return
+				}
+				r, err := postResolve(ts, profiles[i])
+				if err != nil {
+					errOnce.Do(func() { firstErr = err })
+					return
+				}
+				out[i] = r
+			}
+		}()
+	}
+	wg.Wait()
+	return out, firstErr
+}
+
+func postResolve(ts *httptest.Server, p entity.Profile) (resolved, error) {
+	body, err := dataio.MarshalProfileJSON(p)
+	if err != nil {
+		return resolved{}, err
+	}
+	resp, err := ts.Client().Post(ts.URL+"/v1/resolve", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return resolved{}, err
+	}
+	defer resp.Body.Close()
+	payload, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return resolved{}, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return resolved{}, fmt.Errorf("status %d: %s", resp.StatusCode, payload)
+	}
+	var rr ResolveResponse
+	if err := json.Unmarshal(payload, &rr); err != nil {
+		return resolved{}, err
+	}
+	r := resolved{profile: p, id: entity.ID(rr.ID)}
+	for _, c := range rr.Candidates {
+		r.candidates = append(r.candidates, incremental.Candidate{ID: entity.ID(c.ID), Weight: c.Weight})
+	}
+	return r, nil
+}
+
 // TestBatchedEqualsSerial is the acceptance load test: ≥8 concurrent
 // clients drive ≥1k requests through the HTTP micro-batching path, and
 // the responses must be identical — IDs, candidate sets, exact weights —
@@ -74,29 +144,20 @@ func TestBatchedEqualsSerial(t *testing.T) {
 
 	const requests = 1200
 	profiles := testProfiles(t, requests)
-	rep := loadgen.Run(loadgen.HTTPResolver(ts.URL, ts.Client()), profiles, loadgen.Options{
-		Clients:  8,
-		Requests: requests,
-	})
-	if len(rep.Errors) > 0 {
-		t.Fatalf("%d hard errors, first: %v", len(rep.Errors), rep.Errors[0])
-	}
-	if rep.Rejected != 0 {
-		t.Fatalf("%d requests shed with an oversized queue", rep.Rejected)
-	}
-	if len(rep.Responses) != requests {
-		t.Fatalf("got %d responses, want %d", len(rep.Responses), requests)
+	resps, err := resolveHTTP(ts, 8, profiles)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// Recover the server's arrival order from the assigned IDs: they must
 	// be dense 0..n-1.
-	byID := make([]*loadgen.Response, requests)
-	for i := range rep.Responses {
-		r := &rep.Responses[i]
-		if int(r.ID) < 0 || int(r.ID) >= requests || byID[r.ID] != nil {
-			t.Fatalf("IDs not dense: response ID %d", r.ID)
+	byID := make([]*resolved, requests)
+	for i := range resps {
+		r := &resps[i]
+		if int(r.id) < 0 || int(r.id) >= requests || byID[r.id] != nil {
+			t.Fatalf("IDs not dense: response ID %d", r.id)
 		}
-		byID[r.ID] = r
+		byID[r.id] = r
 	}
 
 	// Serial oracle: the same profiles, one Add at a time, in the arrival
@@ -106,8 +167,8 @@ func TestBatchedEqualsSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, r := range byID {
-		_, want := serial.Add(r.Profile)
-		got := r.Candidates
+		_, want := serial.Add(r.profile)
+		got := r.candidates
 		if len(got) != len(want) {
 			t.Fatalf("arrival %d: %d candidates, serial wants %d", id, len(got), len(want))
 		}
@@ -300,12 +361,10 @@ func TestReloadZeroFailures(t *testing.T) {
 		return rr
 	}
 
-	done := make(chan *loadgen.Report)
+	done := make(chan error, 1)
 	go func() {
-		done <- loadgen.Run(loadgen.HTTPResolver(ts.URL, ts.Client()), profiles[100:], loadgen.Options{
-			Clients:  8,
-			Requests: 400,
-		})
+		_, err := resolveHTTP(ts, 8, profiles[100:])
+		done <- err
 	}()
 	const reloads = 5
 	for i := 0; i < reloads; i++ {
@@ -314,15 +373,8 @@ func TestReloadZeroFailures(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	rep := <-done
-	if len(rep.Errors) > 0 {
-		t.Fatalf("reload failed %d in-flight requests, first: %v", len(rep.Errors), rep.Errors[0])
-	}
-	if rep.Rejected != 0 {
-		t.Fatalf("%d requests shed with an oversized queue", rep.Rejected)
-	}
-	if len(rep.Responses) != 400 {
-		t.Fatalf("%d responses, want 400", len(rep.Responses))
+	if err := <-done; err != nil {
+		t.Fatalf("reload failed an in-flight request: %v", err)
 	}
 	// Every response resolved against a swapped-in snapshot carries an ID
 	// at or past the snapshot size; pre-swap IDs start at 0. Both are

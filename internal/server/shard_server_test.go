@@ -16,7 +16,6 @@ import (
 	"metablocking/internal/dataio"
 	"metablocking/internal/fault"
 	"metablocking/internal/incremental"
-	"metablocking/internal/loadgen"
 	"metablocking/internal/shard"
 )
 
@@ -39,33 +38,25 @@ func TestShardedBatchedEqualsSerial(t *testing.T) {
 			}
 			s := newTestServer(t, cfg)
 			ts := httptest.NewServer(s.Handler())
-			rep := loadgen.Run(loadgen.HTTPResolver(ts.URL, ts.Client()), profiles, loadgen.Options{
-				Clients:  clients,
-				Requests: requests,
-			})
-			if len(rep.Errors) > 0 {
-				t.Fatalf("shards=%d clients=%d: %d hard errors, first: %v",
-					shards, clients, len(rep.Errors), rep.Errors[0])
+			resps, err := resolveHTTP(ts, clients, profiles)
+			if err != nil {
+				t.Fatalf("shards=%d clients=%d: %v", shards, clients, err)
 			}
-			if rep.Rejected != 0 || len(rep.Responses) != requests {
-				t.Fatalf("shards=%d clients=%d: %d responses, %d shed",
-					shards, clients, len(rep.Responses), rep.Rejected)
-			}
-			byID := make([]*loadgen.Response, requests)
-			for i := range rep.Responses {
-				r := &rep.Responses[i]
-				if int(r.ID) < 0 || int(r.ID) >= requests || byID[r.ID] != nil {
-					t.Fatalf("shards=%d clients=%d: IDs not dense: %d", shards, clients, r.ID)
+			byID := make([]*resolved, requests)
+			for i := range resps {
+				r := &resps[i]
+				if int(r.id) < 0 || int(r.id) >= requests || byID[r.id] != nil {
+					t.Fatalf("shards=%d clients=%d: IDs not dense: %d", shards, clients, r.id)
 				}
-				byID[r.ID] = r
+				byID[r.id] = r
 			}
 			serial, err := incremental.NewResolver(cfg.Resolver)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for id, r := range byID {
-				_, want := serial.Add(r.Profile)
-				if !reflect.DeepEqual(r.Candidates, want) {
+				_, want := serial.Add(r.profile)
+				if !reflect.DeepEqual(r.candidates, want) {
 					t.Fatalf("shards=%d clients=%d arrival %d: candidates diverged from serial",
 						shards, clients, id)
 				}

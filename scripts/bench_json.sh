@@ -1,11 +1,11 @@
 #!/bin/sh
-# bench_json.sh — emit the headline benchmark trajectory as machine-readable
-# JSON (the BENCH_PR10.json format): ns/op, B/op, allocs/op for the serial
-# pipeline, the batched server resolve path (monolithic plus the 4- and
-# 16-shard scatter-gather sweep) and the out-of-core read path (cold and
-# warm page cache), plus p50/p99 request latency under concurrent load —
-# for both the synchronous resolve path and the budget-aware interactive
-# streaming mode (resolve_budget_interactive, with comparisons/ms).
+# bench_json.sh — emit the rows of the allocs/op gate as machine-readable
+# JSON (the BENCH_PR10.json format): allocs/op for the serial pipeline,
+# the batched server resolve path (monolithic plus the 4- and 16-shard
+# scatter-gather sweep), the out-of-core read path (cold and warm page
+# cache) and the disk-mode commit path under each WAL sync policy, with
+# ns/op and B/op as an informational record. Wall-clock latency and
+# throughput are measured by benchmark/ (BENCHMARK.json), not here.
 #
 # Usage:
 #   sh scripts/bench_json.sh [out.json]
@@ -14,7 +14,7 @@
 # trajectory after an intentional performance change:
 #   sh scripts/bench_json.sh fresh.json
 #   # inspect fresh.json, then fold its numbers into BENCH_PR10.json's
-#   # "benchmarks" section (keep "baseline" as the historical record).
+#   # "benchmarks" section.
 set -eu
 
 cd "$(dirname "$0")/.."
