@@ -8,8 +8,11 @@ COVER_BASELINE ?= 88.5
 
 .PHONY: check race cover fuzz-smoke serve-smoke chaos-smoke bench-smoke ci bench-parallel bench-serve bench-json bench-gate
 
-## check: vet, build and test everything (the tier-1 gate).
+## check: gofmt, vet, build and test everything (the tier-1 gate); fails
+## on any file gofmt would rewrite.
 check:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...

@@ -24,7 +24,7 @@ func main() {
 	only := flag.String("only", "", "run a single experiment (table1..table6, figure10)")
 	list := flag.Bool("list", false, "list available experiments and exit")
 	csvDir := flag.String("csv", "", "also write per-table CSV files into this directory")
-	workers := flag.Int("workers", -1, "worker goroutines for dataset preparation (-1 = all CPUs, 0 = serial)")
+	workers := flag.Int("workers", -1, "worker goroutines for dataset preparation (-1 = all CPUs, 0 or 1 = one); the prepared blocks are the same for every value")
 	metrics := flag.Bool("metrics", false, "print the aggregated pipeline counter table to stderr on exit")
 	pprofAddr := flag.String("pprof", "", "serve expvar and net/http/pprof on this address while the suite runs")
 	flag.Parse()

@@ -48,7 +48,7 @@ func run() error {
 		dataset   = flag.String("dataset", "", "built-in synthetic dataset instead of -input (D1C..D3D)")
 		scale     = flag.Float64("scale", 0.2, "scale for -dataset")
 		blockFlag = flag.String("blocking", "token", "blocking method: token, qgrams, suffix, attrcluster, minhash, eqgrams, esn")
-		workers   = flag.Int("workers", -1, "worker goroutines for every pipeline stage (-1 = all CPUs, 0 = serial)")
+		workers   = flag.Int("workers", -1, "worker goroutines for every pipeline stage (-1 = all CPUs, 0 or 1 = one); the output is the same for every value")
 		scheme    = flag.String("scheme", "js", "weighting scheme: arcs, cbs, ecbs, js, ejs")
 		algorithm = flag.String("algorithm", "reciprocal-wnp", "pruning: cep, cnp, wep, wnp, redefined-cnp, reciprocal-cnp, redefined-wnp, reciprocal-wnp")
 		filter    = flag.Float64("filter", 0.8, "Block Filtering ratio r (0 disables)")

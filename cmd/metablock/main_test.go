@@ -126,14 +126,14 @@ func runMain(t *testing.T, args ...string) error {
 }
 
 // TestSerialRunsByteIdentical: the fully serial pipeline writes the same
-// file on every run — Redefined/Reciprocal CNP emit in node order, not in
-// the iteration order of a hash map.
+// file on every run — Redefined/Reciprocal CNP do not emit in the iteration
+// order of a hash map — and the same file as two workers do.
 func TestSerialRunsByteIdentical(t *testing.T) {
-	for _, alg := range []string{"reciprocal-cnp", "redefined-cnp"} {
+	for _, alg := range []string{"reciprocal-cnp", "redefined-cnp", "cep", "wep"} {
 		var first []byte
-		for r := 0; r < 3; r++ {
+		for r, workers := range []string{"0", "0", "0", "2"} {
 			out := filepath.Join(t.TempDir(), "pairs.csv")
-			if err := runMain(t, "-dataset", "d2d", "-scale", "0.05", "-workers", "0", "-algorithm", alg, "-output", out); err != nil {
+			if err := runMain(t, "-dataset", "d2d", "-scale", "0.05", "-workers", workers, "-algorithm", alg, "-output", out); err != nil {
 				t.Fatal(err)
 			}
 			got, err := os.ReadFile(out)
@@ -146,7 +146,7 @@ func TestSerialRunsByteIdentical(t *testing.T) {
 			if r == 0 {
 				first = got
 			} else if !bytes.Equal(got, first) {
-				t.Fatalf("%s: run %d wrote a different file than run 1", alg, r+1)
+				t.Fatalf("%s: run %d (-workers %s) wrote a different file than run 1", alg, r+1, workers)
 			}
 		}
 	}

@@ -33,11 +33,11 @@ func NewEntityIndex(c *Collection) *EntityIndex {
 }
 
 // NewEntityIndexParallel builds the same index with the given number of
-// workers (0 or 1 = serial, negative = GOMAXPROCS). The build runs a
+// workers (0 or 1 = one, negative = GOMAXPROCS). The build runs a
 // parallel count pass (per-worker assignment counts over disjoint block
 // ranges) and a parallel fill pass: each worker writes its blocks' members
-// into precomputed per-worker offsets of the flat backing array, so the
-// result is bit-identical to the serial build — including the ascending
+// at precomputed per-worker cursors of the flat backing array, so the
+// result is bit-identical for every worker count — including the ascending
 // order within every entity's list — without any locking.
 func NewEntityIndexParallel(c *Collection, workers int) *EntityIndex {
 	return NewEntityIndexObserved(c, workers, nil)
@@ -49,147 +49,60 @@ func NewEntityIndexParallel(c *Collection, workers int) *EntityIndex {
 // is canceled, returning a partially built index the caller must discard
 // after checking o. A nil o disables the polls.
 func NewEntityIndexObserved(c *Collection, workers int, o *obs.Observer) *EntityIndex {
-	idx := &EntityIndex{
-		lists:       make([][]int32, c.NumEntities),
-		numEntities: c.NumEntities,
-	}
+	n := c.NumEntities
+	idx := &EntityIndex{lists: make([][]int32, n), numEntities: n}
 	numBlocks := len(c.Blocks)
 	workers = par.Resolve(workers, numBlocks)
-	if workers <= 1 {
-		idx.buildSerial(c, o)
-		return idx
-	}
 
-	// Count pass: per-worker assignment counts over disjoint block ranges.
-	perWorker := make([][]int32, workers)
-	par.Ranges(workers, numBlocks, func(w, lo, hi int) {
-		counts := make([]int32, c.NumEntities)
+	// Worker w walks its block range twice, through counts[w*n:(w+1)*n]:
+	// while flat is nil it counts its assignments per entity, then it writes
+	// them at the cursors the prefix sum turned those counts into.
+	counts := make([]int32, workers*n)
+	walk := func(w, lo, hi int) {
+		own := counts[w*n : (w+1)*n]
 		for i := lo; i < hi; i++ {
 			if (i-lo)&obs.StrideMask == obs.StrideMask && o.Canceled() {
-				break
+				return
 			}
 			b := &c.Blocks[i]
-			for _, id := range b.E1 {
-				counts[id]++
-			}
-			for _, id := range b.E2 {
-				counts[id]++
+			for _, members := range [2][]entity.ID{b.E1, b.E2} {
+				if idx.flat == nil {
+					for _, id := range members {
+						own[id]++
+					}
+					continue
+				}
+				for _, id := range members {
+					idx.flat[own[id]] = int32(i)
+					own[id]++
+				}
 			}
 		}
-		perWorker[w] = counts
-	})
+	}
+	par.Ranges(workers, numBlocks, walk)
 	if o.Canceled() {
 		return idx
 	}
 
-	// Per-entity totals (parallel over entity ranges), then one serial
-	// prefix sum to place every entity's segment in the flat array.
-	totals := make([]int32, c.NumEntities)
-	par.Ranges(workers, c.NumEntities, func(_, lo, hi int) {
-		for _, counts := range perWorker {
-			if counts == nil {
-				continue
-			}
-			for id := lo; id < hi; id++ {
-				totals[id] += counts[id]
-			}
+	// One serial prefix sum places every entity's segment in the flat array
+	// and turns each worker's count into its cursor there: the segment's
+	// start plus the counts of all lower-ranked workers. Lower-ranked workers
+	// own lower block IDs, so every list comes out in ascending block ID
+	// order.
+	flat := make([]int32, c.Assignments())
+	cursor := int32(0)
+	for id := range n {
+		start := cursor
+		for k := id; k < len(counts); k += n {
+			counts[k], cursor = cursor, cursor+counts[k]
 		}
-	})
-	offsets := make([]int64, c.NumEntities+1)
-	for id, n := range totals {
-		offsets[id+1] = offsets[id] + int64(n)
+		if cursor > start {
+			idx.lists[id] = flat[start:cursor:cursor]
+		}
 	}
-	idx.flat = make([]int32, offsets[c.NumEntities])
-
-	// Turn each worker's counts into its starting cursor per entity:
-	// offsets[id] plus the contributions of all lower-ranked workers.
-	// Lower-ranked workers own lower block IDs, so filling at these
-	// cursors reproduces the serial (ascending block ID) order exactly.
-	par.Ranges(workers, c.NumEntities, func(_, lo, hi int) {
-		for id := lo; id < hi; id++ {
-			cursor := int32(offsets[id])
-			for _, counts := range perWorker {
-				if counts == nil {
-					continue
-				}
-				n := counts[id]
-				counts[id] = cursor
-				cursor += n
-			}
-		}
-	})
-
-	// Fill pass: every worker writes disjoint flat segments.
-	par.Ranges(workers, numBlocks, func(w, lo, hi int) {
-		cursors := perWorker[w]
-		for i := lo; i < hi; i++ {
-			if (i-lo)&obs.StrideMask == obs.StrideMask && o.Canceled() {
-				break
-			}
-			b := &c.Blocks[i]
-			for _, id := range b.E1 {
-				idx.flat[cursors[id]] = int32(i)
-				cursors[id]++
-			}
-			for _, id := range b.E2 {
-				idx.flat[cursors[id]] = int32(i)
-				cursors[id]++
-			}
-		}
-	})
-
-	// Slice the flat array into per-entity views.
-	par.Ranges(workers, c.NumEntities, func(_, lo, hi int) {
-		for id := lo; id < hi; id++ {
-			if totals[id] > 0 {
-				idx.lists[id] = idx.flat[offsets[id]:offsets[id+1]:offsets[id+1]]
-			}
-		}
-	})
+	idx.flat = flat
+	par.Ranges(workers, numBlocks, walk)
 	return idx
-}
-
-// buildSerial is the single-core build: one count pass, one prefix sum,
-// one fill pass into the flat backing array.
-func (x *EntityIndex) buildSerial(c *Collection, o *obs.Observer) {
-	counts := make([]int32, c.NumEntities)
-	for i := range c.Blocks {
-		if i&obs.StrideMask == obs.StrideMask && o.Canceled() {
-			return
-		}
-		b := &c.Blocks[i]
-		for _, id := range b.E1 {
-			counts[id]++
-		}
-		for _, id := range b.E2 {
-			counts[id]++
-		}
-	}
-	offsets := make([]int64, c.NumEntities+1)
-	for id, n := range counts {
-		offsets[id+1] = offsets[id] + int64(n)
-	}
-	x.flat = make([]int32, offsets[c.NumEntities])
-	cursors := counts // reuse as per-entity write cursors
-	for id := range cursors {
-		cursors[id] = int32(offsets[id])
-	}
-	for i := range c.Blocks {
-		b := &c.Blocks[i]
-		for _, id := range b.E1 {
-			x.flat[cursors[id]] = int32(i)
-			cursors[id]++
-		}
-		for _, id := range b.E2 {
-			x.flat[cursors[id]] = int32(i)
-			cursors[id]++
-		}
-	}
-	for id := 0; id < c.NumEntities; id++ {
-		if offsets[id+1] > offsets[id] {
-			x.lists[id] = x.flat[offsets[id]:offsets[id+1]:offsets[id+1]]
-		}
-	}
 }
 
 // NumEntities returns the size of the ID space the index covers.

@@ -27,10 +27,10 @@ type BlockFiltering struct {
 	// for the ablation benchmarks.
 	GlobalThreshold int
 	// Workers parallelizes the clone, the cardinality sort, the per-entity
-	// count pass and the limit pass: 0 or 1 keeps the serial
-	// implementation, negative uses GOMAXPROCS. The retain pass is
-	// inherently sequential (each removal depends on all prior blocks) and
-	// stays serial; output is identical for any worker count.
+	// count pass and the limit pass: 0 or 1 = one worker, negative uses
+	// GOMAXPROCS. The retain pass is inherently sequential (each removal
+	// depends on all prior blocks) and stays serial; output is identical for
+	// any worker count.
 	Workers int
 	// Obs is the optional observability handle: it receives the filter
 	// stage's progress over the sorted blocks and the workers.filter gauge,
@@ -108,20 +108,24 @@ func (f BlockFiltering) Apply(c *block.Collection) *block.Collection {
 	return out
 }
 
-// assignmentCounts returns |Bi| per entity: with multiple workers, each
-// worker counts a disjoint block range into a private array and the
-// per-worker arrays are summed over disjoint entity ranges (integer
-// addition commutes, so the result is exact regardless of partitioning).
+// assignmentCounts returns |Bi| per entity: each worker counts a disjoint
+// block range into a private array and the per-worker arrays are summed over
+// disjoint entity ranges (integer addition commutes, so the result is exact
+// regardless of partitioning).
 func assignmentCounts(c *block.Collection, workers int) []int32 {
 	counts := make([]int32, c.NumEntities)
-	if workers <= 1 {
-		countRange(c, 0, len(c.Blocks), counts)
-		return counts
-	}
 	partial := make([][]int32, workers)
 	par.Ranges(workers, len(c.Blocks), func(w, lo, hi int) {
 		p := make([]int32, c.NumEntities)
-		countRange(c, lo, hi, p)
+		for i := lo; i < hi; i++ {
+			b := &c.Blocks[i]
+			for _, id := range b.E1 {
+				p[id]++
+			}
+			for _, id := range b.E2 {
+				p[id]++
+			}
+		}
 		partial[w] = p
 	})
 	par.Ranges(par.Resolve(workers, c.NumEntities), c.NumEntities, func(_, lo, hi int) {
@@ -135,18 +139,6 @@ func assignmentCounts(c *block.Collection, workers int) []int32 {
 		}
 	})
 	return counts
-}
-
-func countRange(c *block.Collection, lo, hi int, counts []int32) {
-	for i := lo; i < hi; i++ {
-		b := &c.Blocks[i]
-		for _, id := range b.E1 {
-			counts[id]++
-		}
-		for _, id := range b.E2 {
-			counts[id]++
-		}
-	}
 }
 
 // filterMembers keeps the members still under their assignment limit,

@@ -49,10 +49,9 @@ func TestNodeTraversalAllocFree(t *testing.T) {
 }
 
 // TestSinglePassWNPAllocs pins the allocation profile of the node-centric
-// pass, weight- and cardinality-based, parallel and serial: a warm call
+// pass, weight- and cardinality-based, on one worker and two: a warm call
 // allocates its thresholds, its top-k heap, its bucket and its result —
-// bucket and serial result by append's geometric growth — and nothing per
-// node, so a graph of four times the nodes may cost a few growth steps
+// the bucket by append's geometric growth — and nothing per node, so a graph of four times the nodes may cost a few growth steps
 // more, not hundreds of allocations. At two workers the same holds per
 // range — a goroutine, a shard, a heap and a bucket for each of the
 // nodeBands × 2 — so sixteen times the nodes must cost less than one
@@ -70,7 +69,6 @@ func TestSinglePassWNPAllocs(t *testing.T) {
 			atSmall, forGrowth float64
 		}{
 			{"PruneParallel(1)", func(g *Graph) []entity.Pair { return g.PruneParallel(alg, 1) }, 100, 400, 16, 10},
-			{"Prune", func(g *Graph) []entity.Pair { return g.Prune(alg) }, 100, 400, 16, 10},
 			{"PruneParallel(2)", func(g *Graph) []entity.Pair { return g.PruneParallel(alg, 2) }, 100, 1600, 16 + 12*ranges, 16 * ranges},
 		} {
 			allocs := func(nodes int) float64 {

@@ -20,7 +20,8 @@ import (
 type Graph struct {
 	// OriginalWeighting switches every traversal from Optimized Edge
 	// Weighting (Alg. 3, the default) to the Original one (Alg. 2), for
-	// the efficiency comparison of Table 5.
+	// the pruning schemes' timings of Table 3. Pruning then runs on one
+	// worker.
 	OriginalWeighting bool
 
 	blocks *block.Collection
@@ -113,9 +114,9 @@ func NewGraph(c *block.Collection, scheme Scheme) *Graph {
 }
 
 // NewGraphWorkers builds the same graph with the given number of workers
-// (0 or 1 = serial, negative = GOMAXPROCS): the Entity Index count and
-// fill passes and the EJS degree pass are sharded across the workers. The
-// resulting graph is bit-identical to the serial build.
+// (0 or 1 = one, negative = GOMAXPROCS): the Entity Index count and fill
+// passes and the EJS degree pass are sharded across the workers. The
+// resulting graph is bit-identical for every worker count.
 func NewGraphWorkers(c *block.Collection, scheme Scheme, workers int) *Graph {
 	return NewGraphObserved(c, scheme, workers, nil)
 }

@@ -180,13 +180,14 @@ func TestOptimizedMatchesOriginal(t *testing.T) {
 	}
 }
 
-// TestNodeTraversalsAgree checks ForEachNode and ForEachNodeOriginal yield
-// the same neighborhoods and weights.
+// TestNodeTraversalsAgree checks ForEachNode yields the same neighborhoods
+// and weights with Optimized and with Original Edge Weighting.
 func TestNodeTraversalsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	c := randomDirtyBlocks(rng, 30, 25)
 	for _, scheme := range AllSchemes {
-		g := NewGraph(c, scheme)
+		g, gOrig := NewGraph(c, scheme), NewGraph(c, scheme)
+		gOrig.OriginalWeighting = true
 		type hood map[entity.ID]float64
 		collect := func(traverse func(func(entity.ID, []entity.ID, []float64))) map[entity.ID]hood {
 			out := make(map[entity.ID]hood)
@@ -200,7 +201,7 @@ func TestNodeTraversalsAgree(t *testing.T) {
 			return out
 		}
 		opt := collect(g.ForEachNode)
-		orig := collect(g.ForEachNodeOriginal)
+		orig := collect(gOrig.ForEachNode)
 		if len(opt) != len(orig) {
 			t.Fatalf("%v: node counts differ: %d vs %d", scheme, len(opt), len(orig))
 		}

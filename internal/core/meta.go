@@ -17,12 +17,10 @@ type Config struct {
 	// OriginalWeighting uses Algorithm 2 instead of the Optimized Edge
 	// Weighting of Algorithm 3.
 	OriginalWeighting bool
-	// Workers enables the multi-core path for graph construction (Entity
-	// Index, EJS degrees) and pruning: 0 keeps the serial implementation,
-	// negative uses GOMAXPROCS, positive that many workers. The parallel
-	// path always uses Optimized Edge Weighting and returns pairs in
-	// canonical order; OriginalWeighting takes precedence when both are
-	// set.
+	// Workers is the number of workers for graph construction (Entity
+	// Index, EJS degrees) and pruning: 0 or 1 = one, negative = GOMAXPROCS.
+	// Pairs come out in canonical order, the same for every worker count.
+	// OriginalWeighting prunes on one worker whatever Workers says.
 	Workers int
 	// CompressedIndex stores the Entity Index as delta+varint posting
 	// lists (dense-bitmap fallback) instead of flat []int32 views, trading
@@ -53,18 +51,13 @@ type Result struct {
 
 // Run restructures the block collection with the given configuration and
 // returns the retained comparisons along with the measured overhead time,
-// broken down into graph construction and pruning. A non-zero Workers
-// parallelizes both phases.
+// broken down into graph construction and pruning. Workers parallelizes
+// both phases.
 func Run(c *block.Collection, cfg Config) Result {
 	o := cfg.Obs
 	start := time.Now()
-	parallel := cfg.Workers != 0 && !cfg.OriginalWeighting
 	endSpan := o.StartSpan(obs.StageGraph)
-	graphWorkers := 1
-	if parallel {
-		graphWorkers = cfg.Workers
-	}
-	g := NewGraphObserved(c, cfg.Scheme, graphWorkers, o)
+	g := NewGraphObserved(c, cfg.Scheme, cfg.Workers, o)
 	g.OriginalWeighting = cfg.OriginalWeighting
 	if cfg.CompressedIndex && !o.Canceled() {
 		g.CompressIndex()
@@ -82,13 +75,7 @@ func Run(c *block.Collection, cfg Config) Result {
 		// traversals are comparison-driven and report no progress.
 		g.meter = o.NewMeter(obs.StagePrune, pruneTicks(cfg.Algorithm, c))
 	}
-	var pairs []entity.Pair
-	if parallel {
-		pairs = g.PruneParallel(cfg.Algorithm, cfg.Workers)
-	} else {
-		o.Gauge(obs.GaugeWorkersPrune).Set(1)
-		pairs = g.Prune(cfg.Algorithm)
-	}
+	pairs := g.PruneParallel(cfg.Algorithm, cfg.Workers)
 	g.meter = nil
 	endSpan()
 	o.Counter(obs.CtrPairsRetained).Add(int64(len(pairs)))

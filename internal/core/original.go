@@ -59,40 +59,23 @@ func (g *Graph) intersect(blockID int32, a, b entity.ID) (common float64, ok boo
 	return common, true
 }
 
-// ForEachNodeOriginal mirrors ForEachNode but derives every edge weight
-// with the per-pair block-list intersection of Algorithm 2 instead of the
-// ScanCount accumulators. It exists to measure what the node-centric
-// pruning schemes cost without Optimized Edge Weighting (Table 3 vs
-// Table 5).
-func (g *Graph) ForEachNodeOriginal(fn func(i entity.ID, neighbors []entity.ID, weights []float64)) {
-	tick := obsTick{o: g.obs}
-	var weighed int64
-	for id := 0; id < g.blocks.NumEntities; id++ {
-		if tick.step() {
-			break
+// originalNeighborhood returns i's distinct neighbors and their edge
+// weights, derived with the per-pair block-list intersection of Algorithm 2
+// instead of the ScanCount accumulators: what the node-centric pruning
+// schemes cost without Optimized Edge Weighting (Table 3).
+func (g *Graph) originalNeighborhood(i entity.ID) ([]entity.ID, []float64) {
+	neighbors := g.distinctNeighbors(i)
+	weights := g.sc.weights[:0]
+	var di, dj int32
+	for _, j := range neighbors {
+		common := g.intersectAll(i, j)
+		if g.degrees != nil {
+			di, dj = g.degrees[i], g.degrees[j]
 		}
-		i := entity.ID(id)
-		if g.index.NumBlocks(i) == 0 {
-			continue
-		}
-		neighbors := g.distinctNeighbors(i)
-		if len(neighbors) == 0 {
-			continue
-		}
-		weights := g.sc.weights[:0]
-		var di, dj int32
-		for _, j := range neighbors {
-			common, _ := g.intersectAll(i, j)
-			if g.degrees != nil {
-				di, dj = g.degrees[i], g.degrees[j]
-			}
-			weights = append(weights, g.ctx.weight(common, g.index.NumBlocks(i), g.index.NumBlocks(j), di, dj))
-		}
-		g.sc.weights = weights
-		weighed += int64(len(neighbors))
-		fn(i, neighbors, weights)
+		weights = append(weights, g.ctx.weight(common, g.index.NumBlocks(i), g.index.NumBlocks(j), di, dj))
 	}
-	g.obs.Counter(obs.CtrEdgesWeighted).Add(weighed)
+	g.sc.weights = weights
+	return neighbors, weights
 }
 
 // distinctNeighbors enumerates the distinct co-occurring profiles of i
@@ -129,19 +112,17 @@ func (g *Graph) distinctNeighbors(i entity.ID) []entity.ID {
 	return sc.neighbors
 }
 
-// intersectAll counts the full block-list intersection without a LeCoBI
-// early exit (used by the node-centric original traversal, where the
-// neighbor set is already distinct), with the same galloping merge as
-// intersect.
-func (g *Graph) intersectAll(a, b entity.ID) (common float64, blocks int) {
+// intersectAll derives the co-occurrence statistic of a and b from their
+// full block-list intersection, without a LeCoBI early exit (the node-centric
+// original traversal's neighbor set is already distinct), with the same
+// galloping merge as intersect.
+func (g *Graph) intersectAll(a, b entity.ID) (common float64) {
 	la, lb := g.blockLists(a, b)
-	if g.invCard != nil {
-		postings.ForEachCommon(la, lb, func(bid int32) {
-			blocks++
-			common += g.invCard[bid]
-		})
-		return common, blocks
+	if g.invCard == nil {
+		return float64(postings.IntersectCount(la, lb))
 	}
-	blocks = postings.IntersectCount(la, lb)
-	return float64(blocks), blocks
+	postings.ForEachCommon(la, lb, func(bid int32) {
+		common += g.invCard[bid]
+	})
+	return common
 }

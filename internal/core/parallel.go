@@ -35,7 +35,8 @@ func (g *Graph) forEachNodeRange(lo, hi int, fn func(i entity.ID, neighbors []en
 }
 
 // scanNodeRange visits the nodes of [lo, hi) in ascending or descending ID
-// order.
+// order, weighing each neighborhood with Alg. 3's ScanCount or, on a graph
+// with OriginalWeighting, Alg. 2's per-pair intersections.
 func (g *Graph) scanNodeRange(lo, hi int, descending bool, fn func(i entity.ID, neighbors []entity.ID, weights []float64)) {
 	tick := obsTick{o: g.obs, m: g.meter}
 	var weighed int64
@@ -50,11 +51,17 @@ func (g *Graph) scanNodeRange(lo, hi int, descending bool, fn func(i entity.ID, 
 		if g.index.NumBlocks(i) == 0 {
 			continue
 		}
-		neighbors := g.scanNeighborhood(i)
+		var neighbors []entity.ID
+		var weights []float64
+		if g.OriginalWeighting {
+			neighbors, weights = g.originalNeighborhood(i)
+		} else {
+			neighbors = g.scanNeighborhood(i)
+			weights = g.fillWeights(i, neighbors)
+		}
 		if len(neighbors) == 0 {
 			continue
 		}
-		weights := g.fillWeights(i, neighbors)
 		weighed += int64(len(neighbors))
 		fn(i, neighbors, weights)
 	}
@@ -66,7 +73,13 @@ func (g *Graph) scanNodeRange(lo, hi int, descending bool, fn func(i entity.ID, 
 // endpoint (the smaller ID for Dirty ER, the E1 member for Clean-Clean ER)
 // lies in [lo, hi). Every emitted pair's canonical A is the emitting
 // endpoint, so per-range result buckets cover disjoint ascending A ranges.
+// On a graph with OriginalWeighting it runs Alg. 2's comparison loop over
+// the whole graph, which is only ever asked for on one worker.
 func (g *Graph) forEachEdgeRange(lo, hi int, fn func(i, j entity.ID, w float64)) {
+	if g.OriginalWeighting {
+		g.ForEachEdgeOriginal(fn)
+		return
+	}
 	tick := obsTick{o: g.obs, m: g.meter}
 	clean := g.blocks.Task == entity.CleanClean
 	hi = min(hi, g.emitEnd())
@@ -203,15 +216,15 @@ func (g *Graph) parallelEdgeRanges(workers int, fn func(w *Graph, worker, lo, hi
 }
 
 // PruneParallel applies the pruning algorithm using the given number of
-// workers (0 or negative = GOMAXPROCS) and returns the same retained
-// comparisons as Prune, in a canonical order. It supports the Optimized
-// Edge Weighting only; node-centric sharding by ID range keeps every
-// neighborhood on one worker, so the per-node criteria are computed exactly
-// as in the serial implementation. The original CNP/WNP's redundant
-// comparisons come out adjacent.
+// workers (resolved by par.Resolve: 0 or 1 = one, negative = GOMAXPROCS) and
+// returns the retained comparisons in canonical (A, B) order, the same slice
+// for every worker count. Node-centric sharding by ID range keeps every
+// neighborhood on one worker, so the per-node criteria do not depend on the
+// partition. The original CNP/WNP's redundant comparisons come out adjacent.
+// A graph with OriginalWeighting prunes on one worker.
 func (g *Graph) PruneParallel(a Algorithm, workers int) []entity.Pair {
-	if workers == 0 {
-		workers = -1 // historical PruneParallel convention: 0 = GOMAXPROCS
+	if g.OriginalWeighting {
+		workers = 1
 	}
 	workers = par.Resolve(workers, g.blocks.NumEntities)
 	g.obs.Gauge(obs.GaugeWorkersPrune).Set(int64(workers))
@@ -307,8 +320,7 @@ func sortBucketsConcurrently(buckets [][]entity.Pair) {
 func (g *Graph) wepParallel(workers int) []entity.Pair {
 	// Pass 1: per-worker exact partial sums (no edge weight is ever
 	// materialized). The exact sum is a property of the weight multiset, so
-	// the resulting mean is bit-identical to the serial threshold for every
-	// worker count.
+	// the resulting mean is bit-identical for every worker count.
 	accs := make([]floatsum.Acc, workers)
 	g.parallelEdgeRanges(workers, func(w *Graph, worker, lo, hi int) {
 		acc := &accs[worker]
@@ -389,12 +401,15 @@ type pendingEdge struct {
 	w  float64
 }
 
-// nodeCentricParallel retains exactly what the serial pass retains (see
-// nodeCentric) and emits it in canonical order without a global sort: every
-// range of IDs is scanned downwards and decides each edge at its smaller
-// endpoint i, so its pairs all have A = i, the ranges are disjoint in A, and
-// ordering the result takes a sort of each node's few retained neighbors
-// plus one reversed copy of the buckets.
+// nodeCentricParallel is all six node-centric algorithms in one node-centric
+// pass, instead of the node pass plus edge pass of Algs. 4/5. Edge weights
+// are bit-identical from either endpoint (weightContext.weight canonicalizes
+// its operands), so an edge is decided once both endpoints' thresholds are
+// known. It emits in canonical order without a global sort: every range of
+// IDs is scanned downwards and decides each edge at its smaller endpoint i,
+// so its pairs all have A = i, the ranges are disjoint in A, and ordering the
+// result takes a sort of each node's few retained neighbors plus one reversed
+// copy of the buckets.
 func (g *Graph) nodeCentricParallel(a Algorithm, workers int) []entity.Pair {
 	buckets, thresholds := g.nodeBuckets(a, workers)
 	total := 0

@@ -48,7 +48,7 @@ func TestPruneParallelOnSyntheticDataset(t *testing.T) {
 	for _, alg := range []Algorithm{CEP, WEP, RedefinedCNP, ReciprocalWNP} {
 		serial := NewGraph(blocks, ECBS).Prune(alg)
 		sortPairs(serial)
-		parallel := NewGraph(blocks, ECBS).PruneParallel(alg, 0)
+		parallel := NewGraph(blocks, ECBS).PruneParallel(alg, -1)
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Fatalf("%v: parallel ≠ serial on synthetic data: %d vs %d pairs",
 				alg, len(parallel), len(serial))

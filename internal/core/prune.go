@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"metablocking/internal/entity"
-	"metablocking/internal/floatsum"
 )
 
 // Algorithm selects the pruning algorithm applied to the blocking graph.
@@ -71,43 +70,12 @@ func (a Algorithm) String() string {
 // NodeCentric reports whether the algorithm prunes per node neighborhood.
 func (a Algorithm) NodeCentric() bool { return a != CEP && a != WEP }
 
-// edges dispatches to the configured edge traversal.
-func (g *Graph) edges(fn func(i, j entity.ID, w float64)) {
-	if g.OriginalWeighting {
-		g.ForEachEdgeOriginal(fn)
-		return
-	}
-	g.ForEachEdge(fn)
-}
-
-// nodes dispatches to the configured node traversal.
-func (g *Graph) nodes(fn func(i entity.ID, neighbors []entity.ID, weights []float64)) {
-	if g.OriginalWeighting {
-		g.ForEachNodeOriginal(fn)
-		return
-	}
-	g.ForEachNode(fn)
-}
-
-// Prune applies the given pruning algorithm and returns the retained
-// comparisons. For the original node-centric algorithms (CNP, WNP) the
-// result may contain the same pair twice — those are exactly the redundant
-// comparisons the Redefined variants eliminate. The six node-centric
-// algorithms emit in node order — node i ascending, its smaller neighbors
-// in scan order — so two calls on the same input return the same slice;
-// PruneParallel returns the canonical (A, B) order instead.
-func (g *Graph) Prune(a Algorithm) []entity.Pair {
-	switch a {
-	case CEP:
-		return g.cep()
-	case WEP:
-		return g.wep()
-	case CNP, WNP, RedefinedCNP, ReciprocalCNP, RedefinedWNP, ReciprocalWNP:
-		return g.nodeCentric(a)
-	default:
-		panic(fmt.Sprintf("core: unknown pruning algorithm %d", int(a)))
-	}
-}
+// Prune applies the given pruning algorithm on one worker and returns the
+// retained comparisons in canonical (A, B) order: it is PruneParallel(a, 1).
+// For the original node-centric algorithms (CNP, WNP) the result may contain
+// the same pair twice — those are exactly the redundant comparisons the
+// Redefined variants eliminate.
+func (g *Graph) Prune(a Algorithm) []entity.Pair { return g.PruneParallel(a, 1) }
 
 // CardinalityEdgeThreshold returns CEP's global K = ⌊Σ|b|/2⌋.
 func (g *Graph) CardinalityEdgeThreshold() int {
@@ -125,48 +93,6 @@ func (g *Graph) CardinalityNodeThreshold() int {
 		k = 1
 	}
 	return k
-}
-
-// cep retains the globally top-K weighted edges via a bounded min-heap.
-func (g *Graph) cep() []entity.Pair {
-	k := g.CardinalityEdgeThreshold()
-	if k == 0 {
-		return nil
-	}
-	h := newEdgeHeap(k)
-	g.edges(func(i, j entity.ID, w float64) {
-		h.offer(w, i, j)
-	})
-	out := make([]entity.Pair, 0, h.len())
-	for _, e := range h.items {
-		out = append(out, entity.MakePair(e.i, e.j))
-	}
-	return out
-}
-
-// wep retains edges at or above the graph's mean edge weight. The mean is
-// derived in a first traversal and the pruning happens in a second one,
-// since the implicit graph stores no weights. Like the neighborhood means,
-// the global mean uses exact (correctly rounded) summation, so every
-// implementation (serial, parallel) and every worker partition
-// lands on the same threshold bit-for-bit — without materializing or
-// sorting the edge weights.
-func (g *Graph) wep() []entity.Pair {
-	var acc floatsum.Acc
-	g.edges(func(_, _ entity.ID, w float64) {
-		acc.Add(w)
-	})
-	if acc.Count() == 0 {
-		return nil
-	}
-	mean := acc.Mean()
-	var out []entity.Pair
-	g.edges(func(i, j entity.ID, w float64) {
-		if w >= mean {
-			out = append(out, entity.MakePair(i, j))
-		}
-	})
-	return out
 }
 
 // nodeThreshold is one node's pruning criterion: the last admitted key of
@@ -241,31 +167,4 @@ func (a Algorithm) copies(okI, okJ bool) int {
 		}
 	}
 	return 0
-}
-
-// nodeCentric is the serial form of all six node-centric algorithms: one
-// node-centric pass instead of the node pass plus edge pass of Algs. 4/5.
-// Edge weights are bit-identical from either endpoint (weightContext.weight
-// canonicalizes its operands), so an edge is decided at whichever endpoint
-// is scanned second: nodes are visited in ascending ID, so by then the
-// smaller endpoint's threshold is stored and nothing is left for a second
-// pass.
-func (g *Graph) nodeCentric(a Algorithm) []entity.Pair {
-	thresholds := make([]nodeThreshold, g.blocks.NumEntities)
-	topK := g.newTopK(a)
-	var out []entity.Pair
-	g.nodes(func(i entity.ID, neighbors []entity.ID, weights []float64) {
-		ti := g.thresholdOf(topK, i, neighbors, weights)
-		thresholds[i] = ti
-		for n, j := range neighbors {
-			if j > i {
-				continue // decided when the scan reaches j
-			}
-			w := weights[n]
-			for c := a.copies(ti.admits(w, j), thresholds[j].admits(w, i)); c > 0; c-- {
-				out = append(out, entity.MakePair(i, j))
-			}
-		}
-	})
-	return out
 }

@@ -209,7 +209,7 @@ func hubBlocks(rng *rand.Rand, hub entity.ID, numEntities int) *block.Collection
 // TestSinglePassWNPMatchesTwoPass: for every input shape, scheme and worker
 // count, the single node-centric pass returns exactly the comparisons of
 // the two-pass reference for all six node-centric algorithms, in canonical
-// order; the serial form returns them in node order.
+// order.
 func TestSinglePassWNPMatchesTwoPass(t *testing.T) {
 	for name, blocks := range wnpInputs() {
 		n := blocks.NumEntities
@@ -220,10 +220,9 @@ func TestSinglePassWNPMatchesTwoPass(t *testing.T) {
 					t.Fatalf("%s/%v/%v: reference retains nothing", name, scheme, alg)
 				}
 				serial := NewGraph(blocks, scheme).Prune(alg)
-				if !slices.IsSortedFunc(serial, func(p, q entity.Pair) int { return int(p.B - q.B) }) {
-					t.Fatalf("%s/%v/%v serial: not in node order: %v", name, scheme, alg, serial)
+				if !slices.IsSortedFunc(serial, comparePairs) {
+					t.Fatalf("%s/%v/%v serial: not in canonical order: %v", name, scheme, alg, serial)
 				}
-				sortPairs(serial)
 				if !reflect.DeepEqual(serial, want) {
 					t.Fatalf("%s/%v/%v serial: %d pairs, two-pass reference %d", name, scheme, alg, len(serial), len(want))
 				}

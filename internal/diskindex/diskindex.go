@@ -673,13 +673,13 @@ func (sp *segPage) bytes(seg *store.Segment, ref store.TokenRef) ([]byte, error)
 // DiskStats implements shard.Maintainer.
 func (p *Partition) DiskStats() shard.DiskStats {
 	st := shard.DiskStats{
-		Segments:      len(p.segs),
-		MemtableBytes: p.memBytes,
-		Checkpoint:    p.checkpoint,
-		Seals:         p.seals,
-		Compactions:   p.compactions,
-		PageReads:     p.cache.reads,
-		CacheHits:     p.cache.hits,
+		Segments:       len(p.segs),
+		MemtableBytes:  p.memBytes,
+		Checkpoint:     p.checkpoint,
+		Seals:          p.seals,
+		Compactions:    p.compactions,
+		PageReads:      p.cache.reads,
+		CacheHits:      p.cache.hits,
 		WalAppends:     p.walAppends,
 		WalReplayed:    p.walReplayed,
 		WalTruncated:   p.walTruncated,

@@ -35,8 +35,8 @@ type Suite struct {
 	// Out receives the rendered tables; nil discards them.
 	Out io.Writer
 	// Workers parallelizes dataset preparation (Token Blocking and Block
-	// Filtering): 0 = serial, negative = GOMAXPROCS. The prepared blocks
-	// are identical for any value.
+	// Filtering): 0 or 1 = one worker, negative = GOMAXPROCS. The prepared
+	// blocks are identical for any value.
 	Workers int
 	// Metrics, when non-nil, aggregates the pipeline counters of every
 	// meta-blocking run the suite performs (cmd/experiments -metrics).

@@ -51,7 +51,7 @@ func TestAddBatchMatchesSequential(t *testing.T) {
 		serial := mustResolver(t, cfg)
 		// Mixed batch sizes, including empty and single.
 		for lo := 0; lo < len(profiles); {
-			hi := lo + (lo%7)+1
+			hi := lo + (lo % 7) + 1
 			if hi > len(profiles) {
 				hi = len(profiles)
 			}

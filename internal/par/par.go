@@ -66,8 +66,8 @@ func guard(fn func()) (pe *PanicError) {
 }
 
 // Resolve maps a Workers knob to a concrete worker count for an input of
-// size n, using the convention of core.Config.Workers: 0 or 1 keeps the
-// serial path, negative uses GOMAXPROCS, positive uses that many workers.
+// size n, using the convention of core.Config.Workers: 0 or 1 is one
+// worker, negative uses GOMAXPROCS, positive uses that many workers.
 // The result is clamped to [1, n] (with a minimum of 1 for empty inputs).
 func Resolve(workers, n int) int {
 	if workers < 0 {

@@ -11,10 +11,10 @@ package server
 import (
 	"fmt"
 
+	"metablocking/internal/diskindex"
 	"metablocking/internal/incremental"
 	"metablocking/internal/shard"
 	"metablocking/internal/store"
-	"metablocking/internal/diskindex"
 )
 
 // diskMode reports whether the server serves the out-of-core index.

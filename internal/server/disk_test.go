@@ -15,9 +15,9 @@ import (
 // compactions mid-run.
 func diskConfig(dir string, shards int) Config {
 	return Config{
-		Resolver:       incremental.Config{Scheme: core.JS, K: 4, MaxBlockSize: 40},
-		Shards:         shards,
-		MaxBatch:       1,
+		Resolver:         incremental.Config{Scheme: core.JS, K: 4, MaxBlockSize: 40},
+		Shards:           shards,
+		MaxBatch:         1,
 		DiskDir:          dir,
 		MemtableBudget:   4 << 10,
 		DiskCompactAfter: 2,

@@ -62,7 +62,7 @@ type SnapshotRequest struct {
 // SnapshotResponse reports a persisted snapshot.
 type SnapshotResponse struct {
 	// Profiles is the size of the index that was snapshotted.
-	Profiles int `json:"profiles"`
+	Profiles int    `json:"profiles"`
 	Path     string `json:"path"`
 }
 

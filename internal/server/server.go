@@ -659,29 +659,29 @@ func (s *Server) SnapshotFile(path string) (int, error) {
 // by GET /v1/admin/status — the introspectable replacement for fishing
 // tunables out of /debug/vars.
 type ConfigStatus struct {
-	Scheme           string `json:"scheme"`
-	K                int    `json:"k"`
-	MaxBlockSize     int    `json:"max_block_size"`
-	MinTokenLength   int    `json:"min_token_length"`
-	Shards           int    `json:"shards"`
-	ShardQueueDepth  int    `json:"shard_queue_depth,omitempty"`
-	BatchWindowMs    int64  `json:"batch_window_ms"`
-	MaxBatch         int    `json:"max_batch"`
-	QueueDepth       int    `json:"queue_depth"`
-	RetryAfterMs     int64  `json:"retry_after_ms"`
-	RequestTimeoutMs int64  `json:"request_timeout_ms"`
-	BreakerThreshold int    `json:"breaker_threshold"`
-	BreakerCooldownMs int64 `json:"breaker_cooldown_ms"`
-	StreamBatch      int    `json:"stream_batch"`
+	Scheme            string `json:"scheme"`
+	K                 int    `json:"k"`
+	MaxBlockSize      int    `json:"max_block_size"`
+	MinTokenLength    int    `json:"min_token_length"`
+	Shards            int    `json:"shards"`
+	ShardQueueDepth   int    `json:"shard_queue_depth,omitempty"`
+	BatchWindowMs     int64  `json:"batch_window_ms"`
+	MaxBatch          int    `json:"max_batch"`
+	QueueDepth        int    `json:"queue_depth"`
+	RetryAfterMs      int64  `json:"retry_after_ms"`
+	RequestTimeoutMs  int64  `json:"request_timeout_ms"`
+	BreakerThreshold  int    `json:"breaker_threshold"`
+	BreakerCooldownMs int64  `json:"breaker_cooldown_ms"`
+	StreamBatch       int    `json:"stream_batch"`
 
 	// Disk-mode knobs; omitted when serving in-memory.
-	DiskDir          string `json:"disk_dir,omitempty"`
-	MemtableBudget   int    `json:"memtable_budget,omitempty"`
-	DiskCacheBytes   int    `json:"disk_cache_bytes,omitempty"`
-	DiskCompactAfter int    `json:"disk_compact_after,omitempty"`
-	WalSync          string `json:"wal_sync,omitempty"`
-	WalSyncIntervalMs int64 `json:"wal_sync_interval_ms,omitempty"`
-	WalDisabled      bool   `json:"wal_disabled,omitempty"`
+	DiskDir           string `json:"disk_dir,omitempty"`
+	MemtableBudget    int    `json:"memtable_budget,omitempty"`
+	DiskCacheBytes    int    `json:"disk_cache_bytes,omitempty"`
+	DiskCompactAfter  int    `json:"disk_compact_after,omitempty"`
+	WalSync           string `json:"wal_sync,omitempty"`
+	WalSyncIntervalMs int64  `json:"wal_sync_interval_ms,omitempty"`
+	WalDisabled       bool   `json:"wal_disabled,omitempty"`
 }
 
 // Status is the GET /v1/admin/status payload: effective configuration,

@@ -245,11 +245,12 @@ type Pipeline struct {
 	// Workers parallelizes every stage of the pipeline — blocking (for the
 	// sharded methods: Token, Q-grams, Suffix Arrays, Extended Q-grams),
 	// Block Filtering, graph construction and pruning, or the graph-free
-	// workflow's Comparison Propagation: 0 = serial, negative = one worker
-	// per CPU, positive = that many workers. Every stage produces
-	// bit-identical output for any worker count. Parallel
-	// pruning always uses Optimized Edge Weighting. A blocking method whose
-	// own Workers field is already non-zero keeps it.
+	// workflow's Comparison Propagation: 0 or 1 = one worker, negative =
+	// one worker per CPU, positive = that many workers. Every stage
+	// produces bit-identical output for any worker count, so Pairs come out
+	// in the same order for every value. OriginalWeighting prunes on one
+	// worker. A blocking method whose own Workers field is already non-zero
+	// keeps it.
 	Workers int
 }
 

@@ -1,6 +1,8 @@
 package metablocking
 
 import (
+	"context"
+	"reflect"
 	"testing"
 )
 
@@ -243,5 +245,40 @@ func TestPipelineParallelWorkers(t *testing.T) {
 	}
 	if len(serial.Pairs) != len(parallel.Pairs) {
 		t.Fatalf("parallel pipeline differs: %d vs %d pairs", len(parallel.Pairs), len(serial.Pairs))
+	}
+}
+
+// TestWorkerCountNeverChangesTheAnswer: the pipeline returns the same pairs,
+// in the same order, for every worker count — 0 included — and with Original
+// Edge Weighting, for every pruning algorithm on both tasks, with and
+// without Block Filtering.
+func TestWorkerCountNeverChangesTheAnswer(t *testing.T) {
+	ctx := context.Background()
+	for _, id := range []DatasetID{D1D, D1C} {
+		ds := GenerateDataset(id, 0.03)
+		for _, ratio := range []float64{0, 0.8} {
+			for _, alg := range []Algorithm{CEP, CNP, WEP, WNP, RedefinedCNP, ReciprocalCNP, RedefinedWNP, ReciprocalWNP} {
+				var want []Pair
+				for _, p := range []Pipeline{
+					{Workers: 0}, {Workers: 1}, {Workers: 2}, {Workers: 3}, {Workers: -1},
+					{Workers: 0, OriginalWeighting: true}, {Workers: 4, OriginalWeighting: true},
+				} {
+					p.FilterRatio, p.Scheme, p.Algorithm = ratio, JS, alg
+					res, err := p.RunContext(ctx, ds.Collection)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want == nil {
+						want = res.Pairs
+						if len(want) == 0 {
+							t.Fatalf("%s r=%.1f %v: nothing retained", ds.Name, ratio, alg)
+						}
+					} else if !reflect.DeepEqual(res.Pairs, want) {
+						t.Fatalf("%s r=%.1f %v workers=%d original=%v: %d pairs differ from workers=0's %d",
+							ds.Name, ratio, alg, p.Workers, p.OriginalWeighting, len(res.Pairs), len(want))
+					}
+				}
+			}
+		}
 	}
 }
