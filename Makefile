@@ -84,6 +84,6 @@ bench-json:
 
 ## bench-gate: re-run the headline benchmarks and fail if any row's
 ## allocs/op (hardware-independent) regressed beyond its tolerance vs
-## the committed BENCH_PR10.json.
+## the newest committed BENCH_PR<N>.json (highest N).
 bench-gate:
-	$(GO) run ./cmd/benchjson gate -baseline BENCH_PR10.json
+	$(GO) run ./cmd/benchjson gate -baseline $$(ls BENCH_PR*.json | sort -V | tail -1)

@@ -1,6 +1,7 @@
 // Command benchjson is the repository's allocation gate: it runs the
 // headline benchmarks in-process and fails when allocs/op regressed
-// against a committed file (BENCH_PR10.json). Wall-clock numbers are
+// against a committed file (`make bench-gate` passes the newest
+// BENCH_PR<N>.json). Wall-clock numbers are
 // not its job: the benchmark/ harness, declared in BENCHMARK.json,
 // measures latency, throughput and memory of the real binaries.
 //

@@ -125,7 +125,7 @@ func main() {
 	flag.BoolVar(&opts.wal, "wal", true, "write-ahead-log every commit before acknowledging it (-disk-dir mode; false trades crash durability for speed)")
 	flag.StringVar(&opts.walSync, "wal-sync", "always", "WAL fsync policy: always (group-commit barrier per batch), interval, off (-disk-dir mode)")
 	flag.DurationVar(&opts.walInterval, "wal-sync-interval", 100*time.Millisecond, "fsync cadence for -wal-sync=interval")
-	flag.DurationVar(&opts.batchWindow, "batch-window", 2*time.Millisecond, "max wait for more arrivals before flushing a micro-batch")
+	flag.DurationVar(&opts.batchWindow, "batch-window", 2*time.Millisecond, "upper bound on waiting for an announced arrival before flushing a micro-batch; a lone request is flushed at once")
 	flag.IntVar(&opts.batchMax, "batch-max", 64, "max arrivals per index pass")
 	flag.IntVar(&opts.queueDepth, "queue", 1024, "admission queue bound; overflow sheds with 429")
 	flag.DurationVar(&opts.retryAfter, "retry-after", time.Second, "advisory back-off sent with 429 responses")

@@ -18,29 +18,7 @@ func TestResolveBatchPassAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are inflated under the race detector")
 	}
-	profiles := testProfiles(t, 600)
-	s, err := New(Config{
-		Resolver: incremental.Config{Scheme: core.JS, K: 10},
-		MaxBatch: 1, // no batch timer: the pass itself is what's measured
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	ctx := context.Background()
-	for _, p := range profiles[:500] { // warm every pool and scratch buffer
-		if _, err := s.Resolve(ctx, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	i := 500
-	avg := testing.AllocsPerRun(80, func() {
-		if _, err := s.Resolve(ctx, profiles[i]); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
+	avg := loneCallerAllocs(t, 1) // one-job batches: the pass itself is what's measured
 	// The pre-pooling baseline sat around 26 allocs per request; the
 	// budget leaves headroom for output-size variance while catching any
 	// reintroduced per-request channel, batch-buffer or scratch churn.
@@ -48,4 +26,44 @@ func TestResolveBatchPassAllocBudget(t *testing.T) {
 	if avg > budget {
 		t.Errorf("resolve batch pass allocated %.1f times per request, budget %d", avg, budget)
 	}
+}
+
+// TestLoneCallerAllocatesNoTimer pins the idle flush's cost side: a
+// caller with nobody else in flight is flushed without arming the batch
+// window's timer, so at the default MaxBatch it allocates exactly what a
+// MaxBatch of 1 — which never batches — does.
+func TestLoneCallerAllocatesNoTimer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are inflated under the race detector")
+	}
+	direct := loneCallerAllocs(t, 1)
+	batched := loneCallerAllocs(t, 0) // default MaxBatch
+	if batched != direct {
+		t.Errorf("lone caller allocates %.1f times per request at the default MaxBatch, %.1f at MaxBatch 1", batched, direct)
+	}
+}
+
+// loneCallerAllocs warms a fresh server with 500 sequential resolves —
+// every pool and scratch buffer — and returns the mean allocations of
+// the next 80, each the only request in flight.
+func loneCallerAllocs(t *testing.T, maxBatch int) float64 {
+	t.Helper()
+	profiles := testProfiles(t, 600)
+	s := newTestServer(t, Config{
+		Resolver: incremental.Config{Scheme: core.JS, K: 10},
+		MaxBatch: maxBatch,
+	})
+	ctx := context.Background()
+	for _, p := range profiles[:500] {
+		if _, err := s.Resolve(ctx, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 500
+	return testing.AllocsPerRun(80, func() {
+		if _, err := s.Resolve(ctx, profiles[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
 }

@@ -6,10 +6,12 @@
 //
 //   - Micro-batching. Concurrent /v1/resolve requests are coalesced into
 //     one index pass: a single batcher goroutine — the only writer —
-//     drains the admission queue for up to BatchWindow or MaxBatch
-//     arrivals and feeds them to Resolver.AddBatch under one lock
-//     acquisition. Responses are identical to processing the same
-//     arrival order one at a time.
+//     drains the admission queue, up to MaxBatch arrivals, and feeds
+//     them to Resolver.AddBatch under one lock acquisition. It waits for
+//     more only while an admitted request is still on its way to the
+//     queue, and never longer than BatchWindow; a lone caller is flushed
+//     at once. Responses are identical to processing the same arrival
+//     order one at a time.
 //   - Backpressure. Admission is a bounded queue; when it is full the
 //     server sheds load immediately (ErrQueueFull → HTTP 429 with
 //     Retry-After) instead of building an unbounded backlog. Accepted
@@ -105,8 +107,10 @@ type Config struct {
 	// ShardQueueDepth bounds each shard actor's admission queue when
 	// Shards > 1. Default 2.
 	ShardQueueDepth int
-	// BatchWindow is how long the batcher waits for more arrivals after
-	// the first one before flushing a partial batch. Default 2ms.
+	// BatchWindow is the upper bound on how long the batcher waits for an
+	// announced arrival — a request admitted but not yet queued — before
+	// flushing a partial batch. With no such request it flushes at once.
+	// Default 2ms.
 	BatchWindow time.Duration
 	// MaxBatch caps arrivals per index pass. Default 64.
 	MaxBatch int
@@ -322,6 +326,11 @@ type Server struct {
 	breaker *breaker
 
 	queue chan job
+	// inflight counts admitted jobs not yet answered: queued, in the batch
+	// being filled, or announced by a submitter about to enqueue. When the
+	// batch holds all of them, no arrival is imminent and fill stops
+	// waiting.
+	inflight atomic.Int64
 
 	// replyPool recycles the buffered reply channels of completed
 	// requests. A channel abandoned by a caller that gave up (ctx.Done)
@@ -508,10 +517,12 @@ func (s *Server) submit(ctx context.Context, j job) (Resolution, error) {
 		s.metrics.Counter(CtrRejectedDrain).Inc()
 		return Resolution{}, ErrDraining
 	}
+	s.inflight.Add(1)
 	select {
 	case s.queue <- j:
 		s.submitMu.RUnlock()
 	default:
+		s.inflight.Add(-1)
 		s.submitMu.RUnlock()
 		s.replyPool.Put(reply)
 		s.metrics.Counter(CtrRejectedFull).Inc()
@@ -812,17 +823,21 @@ func (s *Server) batcher() {
 	}
 }
 
-// fill gathers a micro-batch: the first job plus whatever else arrives
-// within BatchWindow, capped at MaxBatch. The batch is built in the
-// batcher-owned scratch buffer; flush returns it after answering.
+// fill gathers a micro-batch: the first job plus everything already
+// queued, capped at MaxBatch. It waits for more only while inflight
+// counts an admitted job the batch does not hold yet — a submitter about
+// to enqueue — and never longer than BatchWindow, re-checking after each
+// arrival. A lone caller is flushed at once, without arming a timer.
+// The batch is built in the batcher-owned scratch buffer; flush returns
+// it after answering.
 func (s *Server) fill(first job) []job {
-	batch := append(s.batchBuf[:0], first)
-	if s.cfg.MaxBatch == 1 {
+	batch := s.fillQueued(first)
+	if s.complete(batch) {
 		return batch
 	}
 	timer := time.NewTimer(s.cfg.BatchWindow)
 	defer timer.Stop()
-	for len(batch) < s.cfg.MaxBatch {
+	for !s.complete(batch) {
 		select {
 		case j := <-s.queue:
 			batch = append(batch, j)
@@ -837,8 +852,15 @@ func (s *Server) fill(first job) []job {
 	return batch
 }
 
-// fillQueued gathers a batch without waiting — used by the drain loop,
-// when no new arrivals are possible.
+// complete reports whether fill may stop waiting: the batch is full, or
+// it holds every admitted job that has not been answered. The MaxBatch
+// test comes first, so a MaxBatch of 1 never reads the shared counter.
+func (s *Server) complete(batch []job) bool {
+	return len(batch) >= s.cfg.MaxBatch || int64(len(batch)) >= s.inflight.Load()
+}
+
+// fillQueued gathers a batch without waiting — fill's first step, and the
+// whole of the drain loop's, when no new arrivals are possible.
 func (s *Server) fillQueued(first job) []job {
 	batch := append(s.batchBuf[:0], first)
 	for len(batch) < s.cfg.MaxBatch {
@@ -898,9 +920,13 @@ func (s *Server) flush(batch []job) {
 		s.metrics.Counter(budget.CtrGathered).Add(gathered)
 	}
 
+	// Settle everything a caller might read — the counters and inflight —
+	// before the first reply: a caller that reads a counter, or resubmits
+	// at once, must not see this batch half-accounted. A stale inflight
+	// would make the next fill wait out the window for an arrival that
+	// already happened.
 	candidates, degraded, failed := 0, 0, 0
-	for i, j := range batch {
-		out := outcomes[i]
+	for _, out := range outcomes {
 		switch {
 		case out.err != nil:
 			failed++
@@ -911,7 +937,6 @@ func (s *Server) flush(batch []job) {
 		default:
 			candidates += len(out.res.Candidates)
 		}
-		j.reply <- out
 	}
 	s.metrics.Counter(CtrBatches).Inc()
 	s.metrics.Counter(CtrBatchedProfs).Add(int64(len(batch)))
@@ -919,6 +944,10 @@ func (s *Server) flush(batch []job) {
 	s.metrics.Counter(CtrResolveFailed).Add(int64(failed))
 	s.metrics.Counter(CtrDegradedSrv).Add(int64(degraded))
 	s.metrics.Gauge(GaugeProfiles).Set(int64(size))
+	s.inflight.Add(-int64(len(batch)))
+	for i, j := range batch {
+		j.reply <- outcomes[i]
+	}
 
 	// Return the scratch with its references dropped, so completed
 	// profiles and candidate slices are collectable before the next batch.

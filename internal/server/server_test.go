@@ -475,6 +475,76 @@ func TestResolveContextCanceled(t *testing.T) {
 	}
 }
 
+// TestLoneCallerNeverWaitsForWindow pins the idle flush: the batch
+// window is an upper bound on waiting for an announced arrival, not a
+// fixed wait, so sequential callers under an hour-long window are each
+// answered at once. A count settled only after the reply would let a
+// caller that resubmits at once stall on its own stale job.
+func TestLoneCallerNeverWaitsForWindow(t *testing.T) {
+	s := newTestServer(t, Config{
+		Resolver:    incremental.Config{Scheme: core.JS, K: 10},
+		BatchWindow: time.Hour,
+		MaxBatch:    64,
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for i, p := range testProfiles(t, 200) {
+		res, err := s.Resolve(ctx, p)
+		if err != nil {
+			t.Fatalf("resolve %d under an hour-long window: %v", i, err)
+		}
+		if res.ID != entity.ID(i) {
+			t.Fatalf("resolve %d got ID %d", i, res.ID)
+		}
+	}
+}
+
+// TestAnnouncedArrivalStillWaits: while a submitter has announced itself
+// (counted in flight, not yet queued), the batcher still holds the batch
+// open for it — and only for BatchWindow.
+func TestAnnouncedArrivalStillWaits(t *testing.T) {
+	const window = 20 * time.Millisecond
+	s := newTestServer(t, Config{
+		Resolver:    incremental.Config{Scheme: core.JS, K: 10},
+		BatchWindow: window,
+		MaxBatch:    64,
+	})
+	s.inflight.Add(1) // a submitter that announced itself but never enqueues
+	defer s.inflight.Add(-1)
+	start := time.Now()
+	res, err := s.Resolve(context.Background(), testProfiles(t, 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ID != 0 {
+		t.Fatalf("got ID %d, want 0", res.ID)
+	}
+	if waited := time.Since(start); waited < window {
+		t.Fatalf("answered after %v: the batcher did not wait for the announced arrival (window %v)", waited, window)
+	}
+}
+
+// TestCountersSettledBeforeReply: every batch counter is updated before
+// the batch's replies are sent, so a caller reading the registry right
+// after its answer sees its own request counted.
+func TestCountersSettledBeforeReply(t *testing.T) {
+	s := newTestServer(t, Config{
+		Resolver: incremental.Config{Scheme: core.CBS},
+		MaxBatch: 1,
+	})
+	profiles := testProfiles(t, 100)
+	ctx := context.Background()
+	batched := s.Metrics().Counter(CtrBatchedProfs)
+	for i := 0; i < 3000; i++ {
+		if _, err := s.Resolve(ctx, profiles[i%len(profiles)]); err != nil {
+			t.Fatal(err)
+		}
+		if got := batched.Value(); got != int64(i+1) {
+			t.Fatalf("after reply %d: %s = %d, want %d", i, CtrBatchedProfs, got, i+1)
+		}
+	}
+}
+
 // TestEndpoints covers the operational surface: health, readiness,
 // metrics, expvar, and the error mappings of resolve and reload.
 func TestEndpoints(t *testing.T) {

@@ -6,7 +6,9 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"metablocking/internal/core"
 	"metablocking/internal/fault"
@@ -151,6 +153,56 @@ func TestServerWALSyncOffWarns(t *testing.T) {
 	bad.WALSync = "sometimes"
 	if _, err := New(bad); err == nil {
 		t.Fatal("server accepted an unknown wal sync policy")
+	}
+}
+
+// TestGroupCommitCoalescesWithoutWindow: group commit needs no batch
+// window to amortize. While one batch's fsync barrier runs, concurrent
+// arrivals queue behind it and the next fill takes them all, so eight
+// concurrent commits cost fewer than eight barriers — and every one of
+// them is acknowledged durable.
+func TestGroupCommitCoalescesWithoutWindow(t *testing.T) {
+	const writers = 8
+	profiles := testProfiles(t, writers)
+	dir := filepath.Join(t.TempDir(), "index")
+	cfg := walConfig(dir, 1)
+	cfg.MaxBatch = 64
+	inj := fault.New(1)
+	s := newTestServer(t, cfg, WithFault(inj))
+	// Pin the first barrier long enough for every writer to queue behind it.
+	inj.Arm(shard.WalSyncSite(0), fault.Spec{Delay: 50 * time.Millisecond, Times: 1})
+
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for _, p := range profiles {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Resolve(context.Background(), p); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	var syncs int64
+	for _, sh := range s.Status().Shards {
+		if sh.Disk != nil {
+			syncs += sh.Disk.WalSyncs
+		}
+	}
+	t.Logf("%d wal syncs for %d concurrent commits", syncs, writers)
+	if syncs == 0 || syncs >= writers {
+		t.Fatalf("%d wal syncs for %d concurrent commits: group commit did not coalesce", syncs, writers)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := newTestServer(t, cfg).Size(); got != writers {
+		t.Fatalf("restart recovered %d profiles, want %d — acknowledged writes lost", got, writers)
 	}
 }
 
