@@ -20,7 +20,7 @@ check:
 ## race: run the packages with concurrency — including the root package's
 ## observability/cancellation tests — under the race detector.
 race:
-	$(GO) test -race . ./internal/core/... ./internal/block/... ./internal/blocking/... ./internal/blockproc/... ./internal/obs/... ./internal/oracle/... ./internal/server/... ./internal/shard/... ./internal/incremental/... ./internal/budget/... ./internal/fault/... ./internal/par/... ./internal/store/... ./internal/diskindex/... ./cmd/serve
+	$(GO) test -race . ./internal/core/... ./internal/block/... ./internal/blocking/... ./internal/blockproc/... ./internal/obs/... ./internal/oracle/... ./internal/server/... ./internal/shard/... ./internal/incremental/... ./internal/budget/... ./internal/fault/... ./internal/par/... ./internal/store/... ./internal/diskindex/... ./internal/eval ./internal/dataio ./cmd/serve ./cmd/metablock
 
 ## cover: fail if total statement coverage drops below COVER_BASELINE.
 cover:

@@ -30,7 +30,10 @@ import (
 	"time"
 
 	mb "metablocking"
+	"metablocking/internal/arena"
 	"metablocking/internal/dataio"
+	"metablocking/internal/eval"
+	"metablocking/internal/matching"
 	"metablocking/internal/obs"
 )
 
@@ -112,12 +115,24 @@ func run() error {
 		Algorithm:       alg,
 		Workers:         *workers,
 	}
-	res, err := p.RunContext(ctx, collection, opts...)
-	if err != nil {
+	out := &pairOutput{}
+	if gt != nil {
+		out.acc = eval.NewAccumulator(gt)
+	}
+	if *match > 0 {
+		out.matcher = mb.NewJaccardMatcher(collection, *match)
+	}
+	var res *mb.Result
+	if err := writeOutput(*output, func(w io.Writer) error {
+		out.w = w
+		var err error
+		res, err = p.Stream(ctx, collection, out.sink, opts...)
+		return err
+	}); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "profiles: %d  input comparisons: %d  retained: %d  overhead: %v\n",
-		collection.Size(), res.InputComparisons, len(res.Pairs), res.OTime)
+		collection.Size(), res.InputComparisons, out.retained, res.OTime)
 	fmt.Fprintf(os.Stderr, "stages: blocking=%v filtering=%v graph=%v pruning=%v\n",
 		res.Stages.Blocking, res.Stages.Filtering, res.Stages.Graph, res.Stages.Prune)
 	if *metrics {
@@ -131,20 +146,56 @@ func run() error {
 		}
 		fmt.Fprintf(os.Stderr, "saved %d blocks to %s\n", cleaned.Len(), *saveBlk)
 	}
-
-	pairs := res.Pairs
-	if *match > 0 {
-		m := mb.NewJaccardMatcher(collection, *match)
-		pairs = mb.Matches(m, pairs)
-		fmt.Fprintf(os.Stderr, "matches at threshold %.2f: %d\n", *match, len(pairs))
+	if out.matcher != nil {
+		fmt.Fprintf(os.Stderr, "matches at threshold %.2f: %d\n", *match, out.written)
 	}
-
-	if gt != nil {
-		rep := mb.Evaluate(res.Pairs, gt, res.InputComparisons)
+	if out.acc != nil {
+		rep := out.acc.Report(res.InputComparisons)
 		fmt.Fprintf(os.Stderr, "evaluation: PC=%.3f PQ=%.4f RR=%.3f\n", rep.PC(), rep.PQ(), rep.RR())
 	}
+	return nil
+}
 
-	return writePairs(*output, pairs)
+// pairOutput is the run's PairSink. On the pipeline's worker it counts each
+// chunk against the ground truth (acc), keeps the matcher's matches when
+// there is one — a chunk never splits one A's pairs, so dropping the
+// redundant copies within it drops them all — and encodes what it writes
+// as CSV into a pooled buffer. The commit, in chunk order, writes the
+// bytes to w and merges the counts.
+type pairOutput struct {
+	w       io.Writer
+	acc     *eval.Accumulator        // nil without a ground truth
+	matcher *matching.JaccardMatcher // nil without -match
+	bufs    arena.Pool[byte]
+
+	retained, written int64
+}
+
+func (o *pairOutput) sink(chunk []mb.Pair) func() error {
+	var comparisons int64
+	var found []mb.Pair
+	if o.acc != nil {
+		comparisons, found = o.acc.Count(chunk)
+	}
+	pairs := chunk
+	if o.matcher != nil {
+		pairs = mb.Matches(o.matcher, chunk)
+	}
+	buf := o.bufs.Get()
+	buf.S = dataio.AppendPairsCSV(buf.S, pairs)
+	retained, written := int64(len(chunk)), int64(len(pairs))
+	return func() error {
+		defer o.bufs.Put(buf)
+		if _, err := o.w.Write(buf.S); err != nil {
+			return err
+		}
+		if o.acc != nil {
+			o.acc.Merge(comparisons, found)
+		}
+		o.retained += retained
+		o.written += written
+		return nil
+	}
 }
 
 // metricsReport renders the run's counter/gauge snapshot for -metrics.
@@ -234,18 +285,19 @@ func readTruth(path string) (*mb.GroundTruth, error) {
 	return dataio.ReadGroundTruthCSV(f)
 }
 
-// writePairs writes the pairs to path (stdout when empty). A file's Close
-// error is returned too: a short write can surface only there, and the
-// run must not exit 0 over a truncated pairs file.
-func writePairs(path string, pairs []mb.Pair) error {
+// writeOutput hands write the file at path, created or truncated, or stdout
+// when path is empty. A file's Close error is returned too: a short write
+// can surface only there, and the run must not exit 0 over a truncated
+// pairs file.
+func writeOutput(path string, write func(w io.Writer) error) error {
 	if path == "" {
-		return dataio.WritePairsCSV(os.Stdout, pairs)
+		return write(os.Stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := dataio.WritePairsCSV(f, pairs); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	mb "metablocking"
+	"metablocking/internal/dataio"
 )
 
 func writeFile(t *testing.T, name, content string) string {
@@ -127,29 +129,67 @@ func runMain(t *testing.T, args ...string) error {
 
 // TestSerialRunsByteIdentical: the fully serial pipeline writes the same
 // file on every run — Redefined/Reciprocal CNP do not emit in the iteration
-// order of a hash map — and the same file as two workers do.
+// order of a hash map — and the same file as two workers do: the file the
+// slice API gives, RunContext's pairs (through the matcher, with -match)
+// written by WritePairsCSV. WNP's redundant copies and the matcher's
+// dropping of them must survive the run's chunked output.
 func TestSerialRunsByteIdentical(t *testing.T) {
-	for _, alg := range []string{"reciprocal-cnp", "redefined-cnp", "cep", "wep"} {
-		var first []byte
+	ds := mb.GenerateDataset(mb.D2D, 0.05)
+	for _, tc := range []struct {
+		args  []string
+		p     mb.Pipeline
+		match float64
+	}{
+		{[]string{"-algorithm", "reciprocal-cnp"}, mb.Pipeline{Algorithm: mb.ReciprocalCNP}, 0},
+		{[]string{"-algorithm", "redefined-cnp"}, mb.Pipeline{Algorithm: mb.RedefinedCNP}, 0},
+		{[]string{"-algorithm", "cep"}, mb.Pipeline{Algorithm: mb.CEP}, 0},
+		{[]string{"-algorithm", "wep"}, mb.Pipeline{Algorithm: mb.WEP}, 0},
+		{[]string{"-algorithm", "wnp"}, mb.Pipeline{Algorithm: mb.WNP}, 0},
+		{[]string{"-graphfree"}, mb.Pipeline{GraphFree: true}, 0},
+		{[]string{"-algorithm", "wnp", "-match", "0.4"}, mb.Pipeline{Algorithm: mb.WNP}, 0.4},
+		{[]string{"-graphfree", "-match", "0.4"}, mb.Pipeline{GraphFree: true}, 0.4},
+	} {
+		p := tc.p
+		p.FilterRatio, p.Scheme = 0.8, mb.JS
+		res, err := p.RunContext(context.Background(), ds.Collection)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs := res.Pairs
+		if tc.match > 0 {
+			pairs = mb.Matches(mb.NewJaccardMatcher(ds.Collection, tc.match), pairs)
+		}
+		var want bytes.Buffer
+		if err := dataio.WritePairsCSV(&want, pairs); err != nil {
+			t.Fatal(err)
+		}
+		if want.Len() == 0 {
+			t.Fatalf("%v: empty reference file", tc.args)
+		}
 		for r, workers := range []string{"0", "0", "0", "2"} {
 			out := filepath.Join(t.TempDir(), "pairs.csv")
-			if err := runMain(t, "-dataset", "d2d", "-scale", "0.05", "-workers", workers, "-algorithm", alg, "-output", out); err != nil {
+			args := append([]string{"-dataset", "d2d", "-scale", "0.05", "-workers", workers, "-output", out}, tc.args...)
+			if err := runMain(t, args...); err != nil {
 				t.Fatal(err)
 			}
 			got, err := os.ReadFile(out)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) == 0 {
-				t.Fatalf("%s: empty pairs file", alg)
-			}
-			if r == 0 {
-				first = got
-			} else if !bytes.Equal(got, first) {
-				t.Fatalf("%s: run %d (-workers %s) wrote a different file than run 1", alg, r+1, workers)
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("%v: run %d (-workers %s) wrote %d bytes, RunContext + WritePairsCSV %d",
+					tc.args, r+1, workers, len(got), want.Len())
 			}
 		}
 	}
+}
+
+// writePairs writes pairs to path the way a run does: through writeOutput
+// and one chunk of the run's pair sink.
+func writePairs(path string, pairs []mb.Pair) error {
+	return writeOutput(path, func(w io.Writer) error {
+		return (&pairOutput{w: w}).sink(pairs)()
+	})
 }
 
 func TestWritePairs(t *testing.T) {

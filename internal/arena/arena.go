@@ -112,3 +112,19 @@ func (p *Pool[T]) Put(b *Buf[T]) {
 		p.p.Put(b)
 	}
 }
+
+// PutAfter hands b back once commit has run: it returns commit wrapped to
+// Put b after it, or puts b at once and returns nil when commit is nil — the
+// recycling of a buffer lent to an ordered sink (par.Ordered) until its
+// commit.
+func (p *Pool[T]) PutAfter(b *Buf[T], commit func() error) func() error {
+	if commit == nil {
+		p.Put(b)
+		return nil
+	}
+	return func() error {
+		err := commit()
+		p.Put(b)
+		return err
+	}
+}

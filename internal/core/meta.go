@@ -54,6 +54,29 @@ type Result struct {
 // broken down into graph construction and pruning. Workers parallelizes
 // both phases.
 func Run(c *block.Collection, cfg Config) Result {
+	var pairs []entity.Pair
+	res, _ := run(c, cfg, func(ans answer) (int, error) {
+		pairs = ans.collect()
+		return len(pairs), nil
+	})
+	res.Pairs = pairs
+	return res
+}
+
+// RunTo is Run handing the retained comparisons to sink in ordered chunks
+// (see Graph.PruneTo) instead of returning them: Result.Pairs is nil, and
+// PruneTime and OTime run to the last commit, so they include the sink's
+// work. It returns the first commit error, a panic in sink as
+// *par.PanicError, or Obs.Err() when the run was canceled.
+func RunTo(c *block.Collection, cfg Config, sink func(chunk []entity.Pair) (commit func() error)) (Result, error) {
+	return run(c, cfg, func(ans answer) (int, error) {
+		return ans.emit(cfg.Obs, sink)
+	})
+}
+
+// run builds the graph, prunes it and hands the answer to finish, which
+// returns how many pairs it retained.
+func run(c *block.Collection, cfg Config, finish func(answer) (int, error)) (Result, error) {
 	o := cfg.Obs
 	start := time.Now()
 	endSpan := o.StartSpan(obs.StageGraph)
@@ -65,7 +88,7 @@ func Run(c *block.Collection, cfg Config) Result {
 	endSpan()
 	graphDone := time.Now()
 	if o.Canceled() {
-		return Result{OTime: graphDone.Sub(start), GraphTime: graphDone.Sub(start)}
+		return Result{OTime: graphDone.Sub(start), GraphTime: graphDone.Sub(start)}, o.Err()
 	}
 	o.Counter(obs.CtrGraphNodes).Add(int64(g.NumNodes()))
 	endSpan = o.StartSpan(obs.StagePrune)
@@ -75,17 +98,16 @@ func Run(c *block.Collection, cfg Config) Result {
 		// traversals are comparison-driven and report no progress.
 		g.meter = o.NewMeter(obs.StagePrune, pruneTicks(cfg.Algorithm, c))
 	}
-	pairs := g.PruneParallel(cfg.Algorithm, cfg.Workers)
+	retained, err := finish(g.prune(cfg.Algorithm, cfg.Workers))
 	g.meter = nil
 	endSpan()
-	o.Counter(obs.CtrPairsRetained).Add(int64(len(pairs)))
+	o.Counter(obs.CtrPairsRetained).Add(int64(retained))
 	end := time.Now()
 	return Result{
-		Pairs:     pairs,
 		OTime:     end.Sub(start),
 		GraphTime: graphDone.Sub(start),
 		PruneTime: end.Sub(graphDone),
-	}
+	}, err
 }
 
 // pruneTicks returns the exact number of outer-loop iterations the

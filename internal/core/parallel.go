@@ -223,21 +223,121 @@ func (g *Graph) parallelEdgeRanges(workers int, fn func(w *Graph, worker, lo, hi
 // partition. The original CNP/WNP's redundant comparisons come out adjacent.
 // A graph with OriginalWeighting prunes on one worker.
 func (g *Graph) PruneParallel(a Algorithm, workers int) []entity.Pair {
+	return g.prune(a, workers).collect()
+}
+
+// PruneTo is PruneParallel handing the retained comparisons to sink in
+// ordered chunks instead of returning them: the chunks concatenate to
+// PruneParallel's slice, and a chunk never splits the pairs of one A, so
+// CNP/WNP's redundant copies of a pair share a chunk. sink runs on the
+// workers, the commits it returns on the caller's goroutine in chunk order
+// (par.Ordered); a chunk stays valid until its commit returns. Node-centric
+// chunks are walked out of the pass's buckets, so the whole answer is never
+// copied into one slice. PruneTo returns the first commit error, a panic in
+// sink as *par.PanicError, or the graph's Obs.Err() when the run was
+// canceled before the first chunk.
+func (g *Graph) PruneTo(a Algorithm, workers int, sink func(chunk []entity.Pair) (commit func() error)) error {
+	_, err := g.prune(a, workers).emit(g.obs, sink)
+	return err
+}
+
+// answer is a pruning result before it leaves the graph: CEP's and WEP's
+// canonically sorted slice, or the node-centric pass's resolved buckets.
+type answer struct {
+	workers int
+	sorted  []entity.Pair
+	buckets []nodeBucket // nil for CEP and WEP
+	total   int          // surviving pairs in buckets
+}
+
+// prune runs the algorithm on the resolved number of workers.
+func (g *Graph) prune(a Algorithm, workers int) answer {
 	if g.OriginalWeighting {
 		workers = 1
 	}
 	workers = par.Resolve(workers, g.blocks.NumEntities)
 	g.obs.Gauge(obs.GaugeWorkersPrune).Set(int64(workers))
+	ans := answer{workers: workers}
 	switch a {
 	case CEP:
-		return g.cepParallel(workers)
+		ans.sorted = g.cepParallel(workers)
 	case WEP:
-		return g.wepParallel(workers)
+		ans.sorted = g.wepParallel(workers)
 	case CNP, WNP, RedefinedCNP, ReciprocalCNP, RedefinedWNP, ReciprocalWNP:
-		return g.nodeCentricParallel(a, workers)
+		ans.buckets, ans.total = g.nodeCentricParallel(a, workers)
 	default:
 		panic(fmt.Sprintf("core: unknown pruning algorithm %d", int(a)))
 	}
+	return ans
+}
+
+// collect returns the answer as one slice in canonical order.
+func (ans answer) collect() []entity.Pair {
+	if ans.buckets == nil {
+		return ans.sorted
+	}
+	out := make([]entity.Pair, 0, ans.total)
+	for b := range ans.buckets {
+		out = ans.buckets[b].appendAscending(out)
+	}
+	return out
+}
+
+// emitChunk is the pair count after which emit closes a chunk at the next
+// boundary between two A groups.
+const emitChunk = 1 << 14
+
+// emitPairs recycles the node-centric chunks' buffers across chunks and
+// calls.
+var emitPairs arena.Pool[entity.Pair]
+
+// emit hands the answer to sink in ordered chunks (see PruneTo) and returns
+// the number of pairs it handed over. A sorted answer is cut into subslices
+// of itself; a bucket into views of whole A groups that the workers walk in
+// ascending order into pooled buffers. Empty chunks are not handed over.
+func (ans answer) emit(o *obs.Observer, sink func([]entity.Pair) func() error) (int, error) {
+	if o.Canceled() {
+		return 0, o.Err()
+	}
+	if ans.buckets == nil {
+		pairs := ans.sorted
+		var cuts []int
+		for lo := 0; lo < len(pairs); {
+			cuts = append(cuts, lo)
+			hi := min(lo+emitChunk, len(pairs))
+			for hi < len(pairs) && pairs[hi].A == pairs[hi-1].A {
+				hi++
+			}
+			lo = hi
+		}
+		cuts = append(cuts, len(pairs))
+		return len(pairs), par.Ordered(ans.workers, len(cuts)-1, func(k int) func() error {
+			return sink(pairs[cuts[k]:cuts[k+1]])
+		})
+	}
+	// A bucket holds its groups in descending A, so its chunks are cut from
+	// the back, each start moved down to the first slot of its group.
+	var chunks []nodeBucket
+	for b := range ans.buckets {
+		pairs := ans.buckets[b].pairs
+		for end := len(pairs); end > 0; {
+			start := max(end-emitChunk, 0)
+			for start > 0 && pairs[start-1].A == pairs[start].A {
+				start--
+			}
+			chunks = append(chunks, nodeBucket{pairs: pairs[start:end]})
+			end = start
+		}
+	}
+	return ans.total, par.Ordered(ans.workers, len(chunks), func(k int) func() error {
+		buf := emitPairs.Get()
+		buf.S = chunks[k].appendAscending(buf.S)
+		var commit func() error
+		if len(buf.S) > 0 {
+			commit = sink(buf.S)
+		}
+		return emitPairs.PutAfter(buf, commit)
+	})
 }
 
 func comparePairs(p, q entity.Pair) int {
@@ -405,22 +505,19 @@ type pendingEdge struct {
 // pass, instead of the node pass plus edge pass of Algs. 4/5. Edge weights
 // are bit-identical from either endpoint (weightContext.weight canonicalizes
 // its operands), so an edge is decided once both endpoints' thresholds are
-// known. It emits in canonical order without a global sort: every range of
+// known. It returns the resolved buckets and how many pairs survive in them,
+// which come out in canonical order without a global sort: every range of
 // IDs is scanned downwards and decides each edge at its smaller endpoint i,
 // so its pairs all have A = i, the ranges are disjoint in A, and ordering the
 // result takes a sort of each node's few retained neighbors plus one reversed
-// copy of the buckets.
-func (g *Graph) nodeCentricParallel(a Algorithm, workers int) []entity.Pair {
+// walk of the buckets (appendAscending), into one slice or chunk by chunk.
+func (g *Graph) nodeCentricParallel(a Algorithm, workers int) ([]nodeBucket, int) {
 	buckets, thresholds := g.nodeBuckets(a, workers)
 	total := 0
 	for b := range buckets {
 		total += len(buckets[b].pairs) - buckets[b].resolve(thresholds)
 	}
-	out := make([]entity.Pair, 0, total)
-	for b := range buckets {
-		out = buckets[b].appendAscending(out)
-	}
-	return out
+	return buckets, total
 }
 
 // nodeBands is the number of cost-equal bands the parallel node-centric pass
@@ -547,7 +644,8 @@ func (b *nodeBucket) resolve(thresholds []nodeThreshold) int {
 
 // appendAscending appends the bucket's surviving pairs in canonical order:
 // the groups back to front (they were emitted in descending A), each
-// group front to back.
+// group front to back. It is the one walk of both collect and emit, which
+// applies it to views of whole groups.
 func (b *nodeBucket) appendAscending(out []entity.Pair) []entity.Pair {
 	for end := len(b.pairs); end > 0; {
 		start := end - 1

@@ -117,3 +117,46 @@ func TestRunWorkersWithOriginalWeighting(t *testing.T) {
 		t.Fatalf("Workers=-1 changed the result: %d vs %d", len(negative.Pairs), len(serial.Pairs))
 	}
 }
+
+// TestPruneToChunksConcatenate: PruneTo's chunks concatenate to
+// PruneParallel's slice for every algorithm and worker count, none splits
+// the pairs of one A, and an answer of several times emitChunk — WEP's
+// sorted slice, a node-centric pass's one bucket — is cut into chunks of
+// about that size.
+func TestPruneToChunksConcatenate(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	c := &block.Collection{Task: entity.Dirty, NumEntities: 2000, Split: 2000}
+	for b := 0; b < 400; b++ {
+		c.Blocks = append(c.Blocks, block.Block{Key: key(b), E1: sampleIDs(rng, 0, 2000, 40)})
+	}
+	for _, alg := range AllAlgorithms {
+		for _, workers := range []int{1, 2, 3} {
+			g := NewGraph(c, JS)
+			want := g.PruneParallel(alg, workers)
+			var got []entity.Pair
+			chunks := 0
+			err := g.PruneTo(alg, workers, func(chunk []entity.Pair) func() error {
+				return func() error {
+					if len(chunk) == 0 || len(got) > 0 && got[len(got)-1].A == chunk[0].A {
+						t.Errorf("%v workers=%d: chunk %d is empty or continues the previous chunk's A", alg, workers, chunks)
+					}
+					got = append(got, chunk...)
+					chunks++
+					return nil
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v workers=%d: %d pairs in %d chunks, PruneParallel retains %d", alg, workers, len(got), chunks, len(want))
+			}
+			if chunks < len(want)/(3*emitChunk) {
+				t.Fatalf("%v workers=%d: %d pairs in %d chunks: chunks too large", alg, workers, len(want), chunks)
+			}
+			if workers == 1 && (alg == WEP || alg == WNP) && len(want) < 2*emitChunk {
+				t.Fatalf("%v: %d pairs retained: too few to cut a one-worker answer into chunks", alg, len(want))
+			}
+		}
+	}
+}

@@ -543,7 +543,7 @@ func TestRedefinedWNPSerialSemantics(t *testing.T) {
 
 // TestSerialPruneDeterministic: two serial calls on fresh graphs return the
 // same slice, element for element, for every algorithm, scheme and task
-// type — node-centric results are in node order, not map-iteration order.
+// type — every result is in canonical (A, B) order, not map-iteration order.
 func TestSerialPruneDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for name, blocks := range map[string]*block.Collection{

@@ -253,22 +253,66 @@ func ReadGroundTruthCSV(r io.Reader) (*entity.GroundTruth, error) {
 	return entity.NewGroundTruth(pairs), nil
 }
 
-// WritePairsCSV writes comparison pairs as id1,id2 lines. IDs are
-// non-negative integers, which CSV never quotes, so the lines are
-// formatted directly — byte-identical to encoding/csv's output.
+// WritePairsCSV writes comparison pairs as id1,id2 lines: AppendPairsCSV
+// into one reused buffer, a few thousand pairs per Write.
 func WritePairsCSV(w io.Writer, pairs []entity.Pair) error {
-	// 64 KiB, not bufio's 4 KiB: a million-pair file is megabytes, and the
-	// write calls are a fifth of the time at the default size.
-	bw := bufio.NewWriterSize(w, 64<<10)
-	var line [2*len("-2147483648") + 2]byte
-	for _, p := range pairs {
-		b := strconv.AppendInt(line[:0], int64(p.A), 10)
-		b = append(b, ',')
-		b = strconv.AppendInt(b, int64(p.B), 10)
-		b = append(b, '\n')
-		if _, err := bw.Write(b); err != nil {
+	// 4096 lines are at most 96 KiB: a million-pair file is megabytes, and
+	// the write calls are a fifth of the time at bufio's default 4 KiB.
+	const batch = 4096
+	var buf []byte
+	for len(pairs) > 0 {
+		n := min(len(pairs), batch)
+		buf = AppendPairsCSV(buf[:0], pairs[:n])
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
+		pairs = pairs[n:]
 	}
-	return bw.Flush()
+	return nil
+}
+
+// AppendPairsCSV appends the pairs to dst as id1,id2 lines and returns the
+// extended buffer. IDs are integers, which CSV never quotes, so the lines
+// are formatted directly — byte-identical to encoding/csv's output. The
+// pairs of a pruning result come grouped by A, so a line reuses the
+// previous line's "id1," when its A is the same.
+func AppendPairsCSV(dst []byte, pairs []entity.Pair) []byte {
+	var head [len("-2147483648,")]byte
+	n := 0
+	for k, p := range pairs {
+		if k == 0 || p.A != pairs[k-1].A {
+			n = len(append(appendID(head[:0], p.A), ','))
+		}
+		dst = append(dst, head[:n]...)
+		dst = appendID(dst, p.B)
+		dst = append(dst, '\n')
+	}
+	return dst
+}
+
+// digitPairs holds "00" to "99": appendID writes two digits per division.
+const digitPairs = "00010203040506070809101112131415161718192021222324252627282930313233343536373839404142434445464748495051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899"
+
+// appendID appends id in decimal, as strconv.AppendInt does, without its
+// 64-bit arithmetic for the non-negative IDs every collection has.
+func appendID(dst []byte, id entity.ID) []byte {
+	if id < 0 {
+		return strconv.AppendInt(dst, int64(id), 10)
+	}
+	var b [10]byte
+	i, u := len(b), uint32(id)
+	for u >= 100 {
+		r := u % 100 * 2
+		u /= 100
+		i -= 2
+		b[i], b[i+1] = digitPairs[r], digitPairs[r+1]
+	}
+	if u >= 10 {
+		i -= 2
+		b[i], b[i+1] = digitPairs[2*u], digitPairs[2*u+1]
+	} else {
+		i--
+		b[i] = byte('0' + u)
+	}
+	return append(dst, b[i:]...)
 }

@@ -169,6 +169,47 @@ func TestWritePairsCSVMatchesEncodingCSV(t *testing.T) {
 	}
 }
 
+// TestAppendPairsCSVMatchesEncodingCSV is a property test: for random pair
+// lists — runs of one A, as pruning emits them, with IDs of every width
+// from 0 to math.MaxInt32, and negative ones — AppendPairsCSV appends to
+// any prefix exactly the bytes encoding/csv writes.
+func TestAppendPairsCSVMatchesEncodingCSV(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	id := func() int32 {
+		switch rng.Intn(6) {
+		case 0:
+			return 0
+		case 1:
+			return math.MaxInt32
+		case 2:
+			return -rng.Int31() - int32(rng.Intn(2)) // down to math.MinInt32
+		default:
+			return rng.Int31() >> rng.Intn(31) // every width
+		}
+	}
+	for trial := 0; trial < 500; trial++ {
+		var pairs []entity.Pair
+		for len(pairs) < rng.Intn(60) {
+			a := id()
+			for run := 1 + rng.Intn(4); run > 0; run-- {
+				pairs = append(pairs, entity.Pair{A: a, B: id()})
+			}
+		}
+		var want bytes.Buffer
+		want.WriteString("prefix\n")
+		cw := csv.NewWriter(&want)
+		for _, p := range pairs {
+			if err := cw.Write([]string{strconv.Itoa(int(p.A)), strconv.Itoa(int(p.B))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cw.Flush()
+		if got := AppendPairsCSV([]byte("prefix\n"), pairs); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("trial %d: AppendPairsCSV(%v) = %q, encoding/csv wrote %q", trial, pairs, got, want.Bytes())
+		}
+	}
+}
+
 // failAfter accepts n bytes, then fails every write.
 type failAfter struct {
 	n   int

@@ -75,41 +75,93 @@ func EvaluateBlocks(c *block.Collection, gt *entity.GroundTruth, baseline int64)
 // EvaluatePairs measures a retained-comparison list (the output of
 // meta-blocking pruning, Comparison Propagation or Graph-free
 // Meta-blocking). Comparisons counts list entries including repeated
-// pairs; Detected counts distinct ground-truth pairs.
-//
-// Each call copies and sorts the ground truth (gt.Pairs), O(|D| log |D|)
-// on top of the pass over pairs.
+// pairs; Detected counts distinct ground-truth pairs. It is one Count and
+// one Merge of a fresh Accumulator; to evaluate many lists, or one list in
+// chunks, against the same ground truth, build the Accumulator once.
 func EvaluatePairs(pairs []entity.Pair, gt *entity.GroundTruth, baseline int64) Report {
-	// Nearly every retained pair has an endpoint with no duplicate at all:
-	// a flag per entity ID settles those without hashing the pair. The flags
-	// stop at the largest retained ID — a truth file can name IDs no profile
-	// has, and those can match nothing.
-	maxID := entity.ID(-1)
-	for _, p := range pairs {
-		maxID = max(maxID, p.A, p.B)
+	a := NewAccumulator(gt)
+	a.Merge(a.Count(pairs))
+	return a.Report(baseline)
+}
+
+// Accumulator evaluates a retained-comparison list chunk by chunk. Count
+// looks a chunk up against the ground truth and is safe for concurrent use,
+// so the chunks of a stream can be counted on the workers that produce
+// them; Merge folds one Count's result into the running totals and is not.
+type Accumulator struct {
+	gt *entity.GroundTruth
+	// partners[start[a]:start[a+1]] are the IDs b > a that (a, b) is a
+	// ground-truth pair with, ascending, for every a < len(start)-1: a scan
+	// of one short list settles a retained pair faster than hashing it. The
+	// lists stop at a bound proportional to the ground truth's size, so a
+	// stray truth line naming a huge ID costs no memory: a pair whose
+	// smaller ID lies beyond them goes to the ground truth's hash.
+	start    []int32
+	partners []entity.ID
+
+	comparisons int64
+	seen        map[entity.Pair]struct{}
+}
+
+// NewAccumulator indexes the ground truth by smaller ID, once: it sorts a
+// copy of the ground truth's pairs, O(|D| log |D|).
+func NewAccumulator(gt *entity.GroundTruth) *Accumulator {
+	truth := gt.Pairs() // (A, B) ascending, A < B
+	ids := 0
+	if len(truth) > 0 {
+		ids = min(int(truth[len(truth)-1].A)+1, 64*len(truth)+1<<16)
 	}
-	truth := gt.Pairs()
-	maxTruth := entity.ID(-1)
+	a := &Accumulator{gt: gt, start: make([]int32, max(ids, 0)+1), seen: make(map[entity.Pair]struct{})}
 	for _, p := range truth {
-		maxTruth = max(maxTruth, p.B)
-	}
-	inTruth := make([]bool, int(min(maxID, maxTruth))+1)
-	for _, p := range truth {
-		if p.A >= 0 && int(p.B) < len(inTruth) { // A < B
-			inTruth[p.A], inTruth[p.B] = true, true
+		if p.A >= 0 && int(p.A) < ids {
+			a.start[p.A+1]++
+			a.partners = append(a.partners, p.B)
 		}
 	}
-	flagged := func(id entity.ID) bool { return uint(id) < uint(len(inTruth)) && inTruth[id] }
-	seen := make(map[entity.Pair]struct{})
-	for _, p := range pairs {
-		if flagged(p.A) && flagged(p.B) && gt.Contains(p.A, p.B) {
-			seen[entity.MakePair(p.A, p.B)] = struct{}{}
+	for i := 1; i < len(a.start); i++ {
+		a.start[i] += a.start[i-1]
+	}
+	return a
+}
+
+// Count returns the comparisons of the chunk — its length, repeated pairs
+// included — and the ground-truth pairs among them, canonical and with
+// repeats. It only reads the Accumulator, so it is safe for concurrent use.
+func (a *Accumulator) Count(chunk []entity.Pair) (comparisons int64, found []entity.Pair) {
+	ids := uint(len(a.start) - 1)
+	for _, p := range chunk {
+		p = entity.MakePair(p.A, p.B)
+		if uint(p.A) >= ids {
+			if a.gt.Contains(p.A, p.B) {
+				found = append(found, p)
+			}
+			continue
+		}
+		for _, b := range a.partners[a.start[p.A]:a.start[p.A+1]] {
+			if b == p.B {
+				found = append(found, p)
+				break
+			}
 		}
 	}
+	return int64(len(chunk)), found
+}
+
+// Merge adds one Count's result to the totals, counting each ground-truth
+// pair once however many chunks found it.
+func (a *Accumulator) Merge(comparisons int64, found []entity.Pair) {
+	a.comparisons += comparisons
+	for _, p := range found {
+		a.seen[p] = struct{}{}
+	}
+}
+
+// Report measures everything merged so far against the baseline.
+func (a *Accumulator) Report(baseline int64) Report {
 	return Report{
-		Comparisons: int64(len(pairs)),
-		Detected:    len(seen),
-		Duplicates:  gt.Size(),
+		Comparisons: a.comparisons,
+		Detected:    len(a.seen),
+		Duplicates:  a.gt.Size(),
 		Baseline:    baseline,
 	}
 }

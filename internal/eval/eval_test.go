@@ -181,3 +181,50 @@ func TestComputeBlockStats(t *testing.T) {
 		t.Fatal("empty stats wrong")
 	}
 }
+
+// TestAccumulatorChunked: counting a list in chunks, concurrently, and
+// merging the counts in any order gives EvaluatePairs' report — a ground
+// truth pair found in several chunks counts once — and the accumulator's
+// index stays small when the ground truth names a huge ID.
+func TestAccumulatorChunked(t *testing.T) {
+	var truth, pairs []entity.Pair
+	for i := int32(0); i < 300; i++ {
+		truth = append(truth, entity.Pair{A: i, B: i + 1000})
+		for j := int32(0); j < 5; j++ {
+			pairs = append(pairs, entity.Pair{A: i, B: i + 998 + j}) // j == 2 is true
+		}
+		pairs = append(pairs, entity.Pair{A: i + 1000, B: i}) // again, reversed
+	}
+	truth = append(truth, entity.Pair{A: 1<<31 - 2, B: 1<<31 - 1})
+	pairs = append(pairs, entity.Pair{A: 1<<31 - 2, B: 1<<31 - 1})
+	gt := entity.NewGroundTruth(truth)
+	want := EvaluatePairs(pairs, gt, 1e6)
+	if want.Detected != 301 || want.Comparisons != int64(len(pairs)) {
+		t.Fatalf("EvaluatePairs: %+v", want)
+	}
+	a := NewAccumulator(gt)
+	if len(a.start) > 64*len(truth)+1<<16+1 {
+		t.Fatalf("index of %d entries for %d ground-truth pairs", len(a.start), len(truth))
+	}
+	type counted struct {
+		n     int64
+		found []entity.Pair
+	}
+	results := make(chan counted)
+	const chunk = 97
+	chunks := 0
+	for lo := 0; lo < len(pairs); lo += chunk {
+		chunks++
+		go func(c []entity.Pair) {
+			n, found := a.Count(c)
+			results <- counted{n, found}
+		}(pairs[lo:min(lo+chunk, len(pairs))])
+	}
+	for ; chunks > 0; chunks-- {
+		r := <-results
+		a.Merge(r.n, r.found)
+	}
+	if got := a.Report(1e6); got != want {
+		t.Fatalf("chunked report %+v, EvaluatePairs %+v", got, want)
+	}
+}

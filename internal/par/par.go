@@ -195,3 +195,94 @@ func Do(fns ...func()) {
 		panic(pe)
 	}
 }
+
+// Ordered runs produce(k) for every k in [0, n) on up to workers goroutines
+// and the commits they return on the calling goroutine, in ascending k: the
+// fan-out of a stage whose output must leave in order (a file, a running
+// count) while the work that makes each piece of it runs in parallel. A nil
+// commit is skipped. At most 2·workers pieces are claimed and not yet
+// committed at any time, which bounds what the pieces hold in memory.
+//
+// The first commit error stops new work: the workers finish the pieces they
+// hold, their commits are dropped, and Ordered returns the error. A panic in
+// produce stops new work the same way and comes back as a *PanicError once
+// the workers have drained; a panic in a commit re-raises on the caller after
+// they have. workers ≤ 1 runs every produce and commit inline, in turn.
+func Ordered(workers, n int, produce func(k int) (commit func() error)) error {
+	if workers <= 1 || n <= 1 {
+		for k := 0; k < n; k++ {
+			var commit func() error
+			if pe := guard(func() { commit = produce(k) }); pe != nil {
+				return pe
+			}
+			if commit != nil {
+				if err := commit(); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	workers = min(workers, n)
+	window := 2 * workers
+	type piece struct {
+		commit func() error
+		pe     *PanicError
+	}
+	// A worker takes a token before it claims the next k and the caller
+	// returns it after committing, so the claimed range [committed, next)
+	// never spans more than window pieces and k%window names a free slot.
+	tokens := make(chan struct{}, window)
+	slots := make([]chan piece, window)
+	for i := range slots {
+		tokens <- struct{}{}
+		slots[i] = make(chan piece, 1)
+	}
+	var (
+		next    atomic.Int64
+		stopped atomic.Bool
+		done    = make(chan struct{})
+		wg      sync.WaitGroup
+	)
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-tokens:
+				case <-done:
+					return
+				}
+				k := int(next.Add(1) - 1)
+				if k >= n || stopped.Load() {
+					return
+				}
+				var p piece
+				p.pe = guard(func() { p.commit = produce(k) })
+				if p.pe != nil {
+					stopped.Store(true)
+				}
+				slots[k%window] <- p
+			}
+		}()
+	}
+	defer func() {
+		stopped.Store(true)
+		close(done)
+		wg.Wait()
+	}()
+	for k := 0; k < n; k++ {
+		p := <-slots[k%window]
+		if p.pe != nil {
+			return p.pe
+		}
+		if p.commit != nil {
+			if err := p.commit(); err != nil {
+				return err
+			}
+		}
+		tokens <- struct{}{}
+	}
+	return nil
+}

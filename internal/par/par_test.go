@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestResolve(t *testing.T) {
@@ -257,4 +258,139 @@ func TestRangesEvenSplit(t *testing.T) {
 			t.Errorf("Ranges(%d, %d): chunks %v, want %v", c.workers, c.n, got, c.want)
 		}
 	}
+}
+
+// TestOrderedCommitsInOrder: every piece is produced once and committed once,
+// on the calling goroutine, in ascending k — inline and concurrent alike.
+func TestOrderedCommitsInOrder(t *testing.T) {
+	const n = 50
+	for _, workers := range []int{0, 1, 3, n + 1} {
+		var produced [n]atomic.Int32
+		var committed []int
+		err := Ordered(workers, n, func(k int) func() error {
+			produced[k].Add(1)
+			if k%7 == 3 {
+				return nil // a nil commit is skipped
+			}
+			return func() error {
+				committed = append(committed, k) // unsynchronized: the caller's goroutine only
+				return nil
+			}
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		var want []int
+		for k := 0; k < n; k++ {
+			if got := produced[k].Load(); got != 1 {
+				t.Fatalf("workers=%d: piece %d produced %d times", workers, k, got)
+			}
+			if k%7 != 3 {
+				want = append(want, k)
+			}
+		}
+		if !slices.Equal(committed, want) {
+			t.Fatalf("workers=%d: committed %v, want %v", workers, committed, want)
+		}
+	}
+	if err := Ordered(3, 0, func(int) func() error { panic("no pieces") }); err != nil {
+		t.Fatalf("empty input: %v", err)
+	}
+}
+
+// TestOrderedBoundsOutstanding: with a slow caller, no more than 2·workers
+// pieces are ever produced and not yet committed.
+func TestOrderedBoundsOutstanding(t *testing.T) {
+	for _, workers := range []int{1, 2, 3} {
+		var outstanding, peak atomic.Int64
+		err := Ordered(workers, 60, func(k int) func() error {
+			if now := outstanding.Add(1); now > peak.Load() {
+				peak.Store(now) // a racing store can only lower the peak seen
+			}
+			return func() error {
+				time.Sleep(200 * time.Microsecond)
+				outstanding.Add(-1)
+				return nil
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if limit := int64(max(2*workers, 1)); peak.Load() > limit {
+			t.Fatalf("workers=%d: %d pieces outstanding, want at most %d", workers, peak.Load(), limit)
+		}
+		if workers > 1 && peak.Load() < 2 {
+			t.Fatalf("workers=%d: at most %d piece outstanding: nothing ran ahead of the commits", workers, peak.Load())
+		}
+	}
+}
+
+// TestOrderedStopsOnError: the first commit error is returned, no later
+// commit runs, and the workers stop claiming pieces.
+func TestOrderedStopsOnError(t *testing.T) {
+	boom := errors.New("boom")
+	const n, failAt = 1000, 5
+	for _, workers := range []int{0, 1, 3} {
+		var produced atomic.Int64
+		var last int
+		err := Ordered(workers, n, func(k int) func() error {
+			produced.Add(1)
+			return func() error {
+				last = k
+				if k == failAt {
+					return boom
+				}
+				return nil
+			}
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: err = %v, want boom", workers, err)
+		}
+		if last != failAt {
+			t.Fatalf("workers=%d: last commit %d, want %d", workers, last, failAt)
+		}
+		if limit := int64(failAt + 1 + 2*max(workers, 1)); produced.Load() > limit {
+			t.Fatalf("workers=%d: %d pieces produced after an error at %d, want at most %d", workers, produced.Load(), failAt, limit)
+		}
+	}
+}
+
+// TestOrderedPanicBecomesError: a panic in produce comes back as a
+// *PanicError once the workers drained, after the commits before it ran; a
+// panic in a commit re-raises on the caller.
+func TestOrderedPanicBecomesError(t *testing.T) {
+	const n, panicAt = 40, 9
+	for _, workers := range []int{0, 1, 3, n + 1} {
+		var running atomic.Int64
+		var committed int
+		err := Ordered(workers, n, func(k int) func() error {
+			running.Add(1)
+			defer running.Add(-1)
+			if k == panicAt {
+				panic("produce bug")
+			}
+			return func() error { committed++; return nil }
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != "produce bug" || len(pe.Stack) == 0 {
+			t.Fatalf("workers=%d: err = %v, want a *PanicError with a stack", workers, err)
+		}
+		if committed != panicAt {
+			t.Fatalf("workers=%d: %d commits before the panic, want %d", workers, committed, panicAt)
+		}
+		if running.Load() != 0 {
+			t.Fatalf("workers=%d: %d producers still running after Ordered returned", workers, running.Load())
+		}
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "commit bug" {
+				t.Fatalf("recovered %v, want the commit's panic", r)
+			}
+		}()
+		Ordered(3, 10, func(k int) func() error {
+			return func() error { panic("commit bug") }
+		})
+		t.Fatal("no panic from the commit")
+	}()
 }

@@ -345,11 +345,101 @@ func (p Pipeline) Run(c *Collection) (*Result, error) {
 // goroutines, which all drain first — is recovered and returned as a
 // *PanicError instead of crashing the caller.
 func (p Pipeline) RunContext(ctx context.Context, c *Collection, opts ...RunOption) (res *Result, err error) {
-	defer func() {
-		if pe := par.Recovered(recover()); pe != nil {
-			res, err = nil, pe
+	defer recoverPanic(&res, &err)
+	r, err := p.clean(ctx, c, opts)
+	if err != nil {
+		return nil, err
+	}
+	o := r.o
+	if p.GraphFree {
+		endSpan := o.StartSpan(obs.StagePrune)
+		r.res.Pairs = blockproc.ComparisonPropagation{Workers: p.Workers, Obs: o}.Apply(r.blocks)
+		endSpan()
+		o.Counter(obs.CtrPairsRetained).Add(int64(len(r.res.Pairs)))
+		return r.finish(true, nil)
+	}
+	run := core.Run(r.blocks, p.coreConfig(o))
+	r.res.Pairs = run.Pairs
+	r.res.Stages.Graph, r.res.Stages.Prune = run.GraphTime, run.PruneTime
+	return r.finish(false, nil)
+}
+
+// PairSink receives a run's retained comparisons from Pipeline.Stream, one
+// ordered chunk at a time. Stream calls it on its worker goroutines, so it
+// must be safe for concurrent use: it is where per-chunk work (evaluation,
+// matching, encoding) goes. The commit it returns, if not nil, runs on
+// Stream's goroutine, one at a time and in chunk order, so it may write to
+// a file or fold counts without locking. The chunks concatenate to
+// RunContext's Pairs; a chunk never splits the pairs of one A, so the
+// redundant copies of a pair that CNP and WNP retain share a chunk. A chunk
+// is valid until its commit returns (until the sink returns, when the
+// commit is nil) and must not be kept after.
+type PairSink func(chunk []Pair) (commit func() error)
+
+// Stream runs the pipeline like RunContext but hands the retained
+// comparisons to sink in ordered chunks instead of returning them: the
+// result's Pairs is nil and every other field and counter is RunContext's.
+// Each chunk is handed over as soon as it is decided, and the whole answer
+// is never held. Stream holds at most two chunks per worker that sink has
+// seen and not yet committed.
+//
+// OTime, and Stages.Prune, run to the last commit, so they include the
+// sink's work. Stream returns the first error a commit returns, ctx.Err()
+// when ctx is canceled — after which no further commit runs — and a panic,
+// in the pipeline or in sink, as a *PanicError.
+func (p Pipeline) Stream(ctx context.Context, c *Collection, sink PairSink, opts ...RunOption) (res *Result, err error) {
+	defer recoverPanic(&res, &err)
+	r, err := p.clean(ctx, c, opts)
+	if err != nil {
+		return nil, err
+	}
+	o := r.o
+	var retained int64
+	guarded := func(chunk []Pair) func() error {
+		commit, n := sink(chunk), int64(len(chunk))
+		return func() error {
+			if err := o.Err(); err != nil {
+				return err
+			}
+			retained += n
+			if commit == nil {
+				return nil
+			}
+			return commit()
 		}
-	}()
+	}
+	if p.GraphFree {
+		endSpan := o.StartSpan(obs.StagePrune)
+		err := blockproc.ComparisonPropagation{Workers: p.Workers, Obs: o}.Emit(r.blocks, guarded)
+		endSpan()
+		o.Counter(obs.CtrPairsRetained).Add(retained)
+		return r.finish(true, err)
+	}
+	run, err := core.RunTo(r.blocks, p.coreConfig(o), guarded)
+	r.res.Stages.Graph, r.res.Stages.Prune = run.GraphTime, run.PruneTime
+	return r.finish(false, err)
+}
+
+// recoverPanic turns a panic of the run into a *PanicError result.
+func recoverPanic(res **Result, err *error) {
+	if pe := par.Recovered(recover()); pe != nil {
+		*res, *err = nil, pe
+	}
+}
+
+// cleaned is a run past the part RunContext and Stream share: the cleaned
+// blocks, the run's observer, a Result carrying the input counts and the
+// blocking and filtering times, and the instant the overhead time starts.
+type cleaned struct {
+	blocks *block.Collection
+	o      *obs.Observer
+	res    *Result
+	start  time.Time
+}
+
+// clean is the part of a run RunContext and Stream share: it validates the
+// input and runs blocking, Block Purging and Block Filtering.
+func (p Pipeline) clean(ctx context.Context, c *Collection, opts []RunOption) (*cleaned, error) {
 	if c == nil || c.Size() == 0 {
 		return nil, ErrEmptyCollection
 	}
@@ -376,7 +466,7 @@ func (p Pipeline) RunContext(ctx context.Context, c *Collection, opts ...RunOpti
 	o.Counter(obs.CtrBlockingComparisons).Add(blocks.Comparisons())
 
 	start := time.Now()
-	res = &Result{Stages: Stages{Blocking: start.Sub(blockStart)}}
+	res := &Result{Stages: Stages{Blocking: start.Sub(blockStart)}}
 	if !p.DisablePurging {
 		endSpan = o.StartSpan(obs.StagePurge)
 		blocks = blockproc.BlockPurging{}.Apply(blocks)
@@ -389,26 +479,6 @@ func (p Pipeline) RunContext(ctx context.Context, c *Collection, opts ...RunOpti
 		// the filter.* counters describe the input of Block Filtering here.
 		res.InputBlocks = blocks.Len()
 		res.InputComparisons = blocks.Comparisons()
-		o.Counter(obs.CtrFilterBlocks).Add(int64(res.InputBlocks))
-		o.Counter(obs.CtrFilterComparisons).Add(res.InputComparisons)
-		endSpan = o.StartSpan(obs.StageFilter)
-		blocks = blockproc.BlockFiltering{Ratio: p.FilterRatio, Workers: p.Workers, Obs: o}.Apply(blocks)
-		endSpan()
-		if err := o.Err(); err != nil {
-			return nil, err
-		}
-		res.Stages.Filtering = time.Since(start)
-		endSpan = o.StartSpan(obs.StagePrune)
-		res.Pairs = blockproc.ComparisonPropagation{Workers: p.Workers, Obs: o}.Apply(blocks)
-		endSpan()
-		if err := o.Err(); err != nil {
-			return nil, err
-		}
-		o.Counter(obs.CtrPairsRetained).Add(int64(len(res.Pairs)))
-		res.OTime = time.Since(start)
-		res.Stages.Prune = res.OTime - res.Stages.Filtering
-		res.Metrics = o.Snapshot()
-		return res, nil
 	}
 	if p.FilterRatio > 0 {
 		endSpan = o.StartSpan(obs.StageFilter)
@@ -418,28 +488,45 @@ func (p Pipeline) RunContext(ctx context.Context, c *Collection, opts ...RunOpti
 			return nil, err
 		}
 	}
-	filterDone := time.Now()
-	res.Stages.Filtering = filterDone.Sub(start)
-	res.InputBlocks = blocks.Len()
-	res.InputComparisons = blocks.Comparisons()
+	res.Stages.Filtering = time.Since(start)
+	if !p.GraphFree {
+		res.InputBlocks = blocks.Len()
+		res.InputComparisons = blocks.Comparisons()
+	}
 	o.Counter(obs.CtrFilterBlocks).Add(int64(res.InputBlocks))
 	o.Counter(obs.CtrFilterComparisons).Add(res.InputComparisons)
-	run := core.Run(blocks, core.Config{
+	return &cleaned{blocks: blocks, o: o, res: res, start: start}, nil
+}
+
+// coreConfig is the graph-based stages' configuration.
+func (p Pipeline) coreConfig(o *obs.Observer) core.Config {
+	return core.Config{
 		Scheme:            p.Scheme,
 		Algorithm:         p.Algorithm,
 		OriginalWeighting: p.OriginalWeighting,
 		Workers:           p.Workers,
 		CompressedIndex:   p.CompressedIndex,
 		Obs:               o,
-	})
-	if err := o.Err(); err != nil {
+	}
+}
+
+// finish completes the run's result — the overhead time since start, a
+// graph-free run's prune time (the overhead after filtering), the metrics
+// snapshot — or returns the run's error: err, or the context's when the
+// run was canceled.
+func (r *cleaned) finish(graphFree bool, err error) (*Result, error) {
+	if err == nil {
+		err = r.o.Err()
+	}
+	if err != nil {
 		return nil, err
 	}
-	res.Pairs = run.Pairs
-	res.OTime = time.Since(start)
-	res.Stages.Graph = run.GraphTime
-	res.Stages.Prune = run.PruneTime
-	res.Metrics = o.Snapshot()
+	res := r.res
+	res.OTime = time.Since(r.start)
+	if graphFree {
+		res.Stages.Prune = res.OTime - res.Stages.Filtering
+	}
+	res.Metrics = r.o.Snapshot()
 	return res, nil
 }
 
