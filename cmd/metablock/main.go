@@ -56,7 +56,6 @@ func run() error {
 		algorithm = flag.String("algorithm", "reciprocal-wnp", "pruning: cep, cnp, wep, wnp, redefined-cnp, reciprocal-cnp, redefined-wnp, reciprocal-wnp")
 		filter    = flag.Float64("filter", 0.8, "Block Filtering ratio r (0 disables)")
 		graphFree = flag.Bool("graphfree", false, "skip the blocking graph (Block Filtering + Comparison Propagation)")
-		compress  = flag.Bool("compressed", false, "compressed Entity Index (delta+varint/bitmap posting lists); identical output, smaller resident index")
 		match     = flag.Float64("match", 0, "Jaccard matching threshold; 0 outputs raw comparisons")
 		output    = flag.String("output", "", "output CSV path (default stdout)")
 		saveBlk   = flag.String("save-blocks", "", "persist the cleaned block collection to this file")
@@ -65,6 +64,9 @@ func run() error {
 		progress  = flag.Bool("progress", false, "stream per-stage progress to stderr")
 	)
 	flag.Parse()
+	if !(*match >= 0 && *match <= 1) { // NaN fails both comparisons
+		return fmt.Errorf("-match %v: the threshold must be in [0, 1]", *match)
+	}
 
 	// Interrupt (Ctrl-C) cancels the pipeline cooperatively: every stage
 	// drains its workers and RunContext returns context.Canceled.
@@ -107,13 +109,12 @@ func run() error {
 	}
 
 	p := mb.Pipeline{
-		Blocking:        blocking,
-		FilterRatio:     *filter,
-		GraphFree:       *graphFree,
-		CompressedIndex: *compress,
-		Scheme:          sch,
-		Algorithm:       alg,
-		Workers:         *workers,
+		Blocking:    blocking,
+		FilterRatio: *filter,
+		GraphFree:   *graphFree,
+		Scheme:      sch,
+		Algorithm:   alg,
+		Workers:     *workers,
 	}
 	out := &pairOutput{}
 	if gt != nil {

@@ -116,6 +116,24 @@ func TestReadTruth(t *testing.T) {
 	}
 }
 
+// TestThresholdValidation: a -match or -filter that is NaN or outside
+// [0, 1] fails the run, instead of silently writing raw comparisons or
+// skipping Block Filtering.
+func TestThresholdValidation(t *testing.T) {
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-match", "NaN", "-match NaN"},
+		{"-match", "-0.1", "-match -0.1"},
+		{"-match", "1.5", "-match 1.5"},
+		{"-filter", "NaN", mb.ErrInvalidFilterRatio.Error()},
+	} {
+		out := filepath.Join(t.TempDir(), "pairs.csv")
+		err := runMain(t, "-dataset", "d1d", "-scale", "0.02", "-graphfree", "-output", out, tc.flag, tc.value)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s %s: run error %v, want %q", tc.flag, tc.value, err, tc.want)
+		}
+	}
+}
+
 // runMain drives run with the given command line, as main would: run
 // registers its flags on flag.CommandLine and parses os.Args.
 func runMain(t *testing.T, args ...string) error {

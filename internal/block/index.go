@@ -13,14 +13,11 @@ import (
 // implementations of meta-blocking.
 //
 // Every per-entity list is a view into one flat backing array, so building
-// the index costs a constant number of allocations regardless of |E|. An
-// index can optionally be Compressed into delta+varint posting lists
-// afterwards; callers then read lists through AppendBlockList
-// (decode-into-scratch) instead of the zero-copy BlockList.
+// the index costs a constant number of allocations regardless of |E|, and
+// readers get zero-copy views through BlockList.
 type EntityIndex struct {
 	lists       [][]int32
 	flat        []int32
-	packed      *postings.Packed // non-nil after Compress; lists/flat are released
 	numEntities int
 }
 
@@ -108,57 +105,12 @@ func NewEntityIndexObserved(c *Collection, workers int, o *obs.Observer) *Entity
 // NumEntities returns the size of the ID space the index covers.
 func (x *EntityIndex) NumEntities() int { return x.numEntities }
 
-// Compress re-encodes every block list as a delta+varint (or, for dense
-// lists, bitmap) posting list packed into one byte arena, and releases the
-// flat storage. The compressed index serves NumBlocks in O(1) and lists
-// through AppendBlockList; the zero-copy BlockList view is no longer
-// available. Not safe concurrently with readers; compress before sharing.
-func (x *EntityIndex) Compress() {
-	if x.packed != nil {
-		return
-	}
-	x.packed = postings.Pack(x.lists)
-	x.lists, x.flat = nil, nil
-}
-
-// Compressed reports whether Compress has been applied.
-func (x *EntityIndex) Compressed() bool { return x.packed != nil }
-
-// SizeBytes returns the memory footprint of the index's list storage.
-func (x *EntityIndex) SizeBytes() int {
-	if x.packed != nil {
-		return x.packed.SizeBytes()
-	}
-	return 4*len(x.flat) + 24*len(x.lists)
-}
-
 // BlockList returns the ascending block IDs containing the given entity.
-// The returned slice is shared; callers must not modify it. Only available
-// on flat indexes — compressed callers use AppendBlockList.
-func (x *EntityIndex) BlockList(id entity.ID) []int32 {
-	if x.packed != nil {
-		panic("block: BlockList on a compressed EntityIndex; use AppendBlockList")
-	}
-	return x.lists[id]
-}
-
-// AppendBlockList appends the entity's ascending block IDs to dst,
-// decoding from the compressed form when one is present. With a reused
-// scratch buffer the compressed decode allocates nothing in steady state.
-func (x *EntityIndex) AppendBlockList(dst []int32, id entity.ID) []int32 {
-	if x.packed != nil {
-		return x.packed.AppendList(dst, int(id))
-	}
-	return append(dst, x.lists[id]...)
-}
+// The returned slice is shared; callers must not modify it.
+func (x *EntityIndex) BlockList(id entity.ID) []int32 { return x.lists[id] }
 
 // NumBlocks returns |Bi|, the number of blocks containing the entity.
-func (x *EntityIndex) NumBlocks(id entity.ID) int {
-	if x.packed != nil {
-		return x.packed.Count(int(id))
-	}
-	return len(x.lists[id])
-}
+func (x *EntityIndex) NumBlocks(id entity.ID) int { return len(x.lists[id]) }
 
 // CommonBlocks returns |Bij|, the number of blocks shared by the two
 // entities, by intersecting their sorted block lists (the core of the

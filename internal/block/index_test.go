@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"metablocking/internal/entity"
-	"metablocking/internal/postings"
 )
 
 func TestEntityIndexLists(t *testing.T) {
@@ -158,63 +157,4 @@ func containsID(ids []entity.ID, x entity.ID) bool {
 		}
 	}
 	return false
-}
-
-// TestCompressedIndexMatchesFlat builds the same random index twice,
-// compresses one, and checks every accessor agrees: counts, decoded lists,
-// intersections and LeCoBI answers.
-func TestCompressedIndexMatchesFlat(t *testing.T) {
-	c := randomCollection(rand.New(rand.NewSource(7)), 80, 60)
-	flat := NewEntityIndex(c)
-	comp := NewEntityIndex(c)
-	comp.Compress()
-	if !comp.Compressed() || flat.Compressed() {
-		t.Fatal("Compressed() flags wrong")
-	}
-	var scratch []int32
-	for id := 0; id < c.NumEntities; id++ {
-		i := entity.ID(id)
-		if got, want := comp.NumBlocks(i), flat.NumBlocks(i); got != want {
-			t.Fatalf("NumBlocks(%d) = %d, want %d", id, got, want)
-		}
-		scratch = comp.AppendBlockList(scratch[:0], i)
-		if !reflect.DeepEqual(append([]int32{}, scratch...), append([]int32{}, flat.BlockList(i)...)) {
-			t.Fatalf("AppendBlockList(%d) = %v, want %v", id, scratch, flat.BlockList(i))
-		}
-	}
-	// Intersections over the decoded compressed lists must match the
-	// flat index's CommonBlocks / LeastCommonBlock exactly.
-	for a := 0; a < 20; a++ {
-		for b := a + 1; b < 20; b++ {
-			ia, ib := entity.ID(a), entity.ID(b)
-			la := comp.AppendBlockList(nil, ia)
-			lb := comp.AppendBlockList(nil, ib)
-			if got, want := postings.IntersectCount(la, lb), flat.CommonBlocks(ia, ib); got != want {
-				t.Fatalf("compressed IntersectCount(%d,%d) = %d, flat CommonBlocks %d", a, b, got, want)
-			}
-			if got, want := postings.First(la, lb), flat.LeastCommonBlock(ia, ib); got != want {
-				t.Fatalf("compressed First(%d,%d) = %d, flat LeastCommonBlock %d", a, b, got, want)
-			}
-		}
-	}
-}
-
-// TestCompressedIndexAccessors pins the compressed index's contract:
-// BlockList panics, Compress is idempotent, and SizeBytes shrinks on a
-// compressible index.
-func TestCompressedIndexAccessors(t *testing.T) {
-	c := randomCollection(rand.New(rand.NewSource(11)), 200, 150)
-	idx := NewEntityIndex(c)
-	flatSize := idx.SizeBytes()
-	idx.Compress()
-	idx.Compress() // idempotent
-	if got := idx.SizeBytes(); got >= flatSize {
-		t.Errorf("compressed SizeBytes = %d, flat was %d: expected a reduction", got, flatSize)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("BlockList on a compressed index should panic")
-		}
-	}()
-	idx.BlockList(0)
 }

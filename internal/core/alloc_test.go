@@ -10,42 +10,33 @@ import (
 // TestNodeTraversalAllocFree pins the hot-path allocation contract of the
 // neighbor-aggregation inner loop (ScanCount + weighting, Algorithm 3):
 // after one warm-up traversal grows the scratch, ForEachNode and
-// ForEachEdge allocate nothing per pass, flat or compressed.
+// ForEachEdge allocate nothing per pass over the flat Entity Index.
 func TestNodeTraversalAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are inflated under the race detector")
 	}
 	rng := rand.New(rand.NewSource(3))
 	c := randomDirtyBlocks(rng, 60, 50)
-	for _, compressed := range []bool{false, true} {
-		name := "flat"
-		if compressed {
-			name = "compressed"
+	t.Run("flat", func(t *testing.T) {
+		g := NewGraph(c, CBS)
+		nodeSink := 0
+		node := func(i entity.ID, neighbors []entity.ID, weights []float64) {
+			nodeSink += len(neighbors)
 		}
-		t.Run(name, func(t *testing.T) {
-			g := NewGraph(c, CBS)
-			if compressed {
-				g.CompressIndex()
-			}
-			nodeSink := 0
-			node := func(i entity.ID, neighbors []entity.ID, weights []float64) {
-				nodeSink += len(neighbors)
-			}
-			edgeSink := 0
-			edge := func(i, j entity.ID, w float64) { edgeSink++ }
-			g.ForEachNode(node) // warm-up: grows cells/neighbors/weights scratch
-			g.ForEachEdge(edge)
-			if avg := testing.AllocsPerRun(5, func() { g.ForEachNode(node) }); avg != 0 {
-				t.Errorf("ForEachNode allocated %.1f times per warm pass, want 0", avg)
-			}
-			if avg := testing.AllocsPerRun(5, func() { g.ForEachEdge(edge) }); avg != 0 {
-				t.Errorf("ForEachEdge allocated %.1f times per warm pass, want 0", avg)
-			}
-			if nodeSink == 0 || edgeSink == 0 {
-				t.Fatal("traversals visited nothing")
-			}
-		})
-	}
+		edgeSink := 0
+		edge := func(i, j entity.ID, w float64) { edgeSink++ }
+		g.ForEachNode(node) // warm-up: grows cells/neighbors/weights scratch
+		g.ForEachEdge(edge)
+		if avg := testing.AllocsPerRun(5, func() { g.ForEachNode(node) }); avg != 0 {
+			t.Errorf("ForEachNode allocated %.1f times per warm pass, want 0", avg)
+		}
+		if avg := testing.AllocsPerRun(5, func() { g.ForEachEdge(edge) }); avg != 0 {
+			t.Errorf("ForEachEdge allocated %.1f times per warm pass, want 0", avg)
+		}
+		if nodeSink == 0 || edgeSink == 0 {
+			t.Fatal("traversals visited nothing")
+		}
+	})
 }
 
 // TestSinglePassWNPAllocs pins the allocation profile of the node-centric

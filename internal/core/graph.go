@@ -75,10 +75,6 @@ type scanScratch struct {
 	// keys holds one node's retained slots while the parallel node-centric
 	// pass sorts them.
 	keys []uint64
-	// blist/blistB are decode buffers for the compressed Entity Index;
-	// unused (nil) while the index serves flat views.
-	blist  []int32
-	blistB []int32
 }
 
 // obsTick batches progress ticks and cancellation polls for the hot
@@ -162,37 +158,6 @@ func NewGraphObserved(c *block.Collection, scheme Scheme, workers int, o *obs.Ob
 	return g
 }
 
-// CompressIndex converts the graph's Entity Index to delta+varint posting
-// lists (with a dense-bitmap fallback per list). Traversals then decode
-// block lists into per-shard scratch; every weight, threshold and pruned
-// set is bit-identical to the flat path — the decoded lists are the same
-// []int32 values. Call it once, before any traversal; it is not safe
-// concurrently with them.
-func (g *Graph) CompressIndex() { g.index.Compress() }
-
-// blockList returns entity i's ascending block IDs: a zero-copy view on the
-// flat index, a decode into this graph's scratch on the compressed one.
-// Valid until the next blockList/blockLists call on the same graph.
-func (g *Graph) blockList(i entity.ID) []int32 {
-	if !g.index.Compressed() {
-		return g.index.BlockList(i)
-	}
-	g.sc.blist = g.index.AppendBlockList(g.sc.blist[:0], i)
-	return g.sc.blist
-}
-
-// blockLists returns the block lists of both entities for a pairwise
-// intersection, using the two decode buffers in compressed mode.
-func (g *Graph) blockLists(a, b entity.ID) ([]int32, []int32) {
-	if !g.index.Compressed() {
-		return g.index.BlockList(a), g.index.BlockList(b)
-	}
-	sc := g.sc
-	sc.blist = g.index.AppendBlockList(sc.blist[:0], a)
-	sc.blistB = g.index.AppendBlockList(sc.blistB[:0], b)
-	return sc.blist, sc.blistB
-}
-
 // Blocks returns the underlying block collection.
 func (g *Graph) Blocks() *block.Collection { return g.blocks }
 
@@ -225,7 +190,7 @@ func (g *Graph) scanNeighborhood(i entity.ID) []entity.ID {
 	sc.epoch++
 	clean := g.blocks.Task == entity.CleanClean
 	iFirst := g.blocks.InFirst(i)
-	for _, bid := range g.blockList(i) {
+	for _, bid := range g.index.BlockList(i) {
 		b := &g.blocks.Blocks[bid]
 		inc := 1.0
 		if g.invCard != nil {

@@ -22,11 +22,6 @@ type Config struct {
 	// Pairs come out in canonical order, the same for every worker count.
 	// OriginalWeighting prunes on one worker whatever Workers says.
 	Workers int
-	// CompressedIndex stores the Entity Index as delta+varint posting
-	// lists (dense-bitmap fallback) instead of flat []int32 views, trading
-	// a decode per neighborhood scan for a fraction of the memory.
-	// Outputs are bit-identical to the flat path.
-	CompressedIndex bool
 	// Obs is the run's observability handle: graph/prune stage spans,
 	// progress, the graph.nodes / prune.* counters and cooperative
 	// cancellation. Nil disables all of it. When Obs's context is
@@ -82,9 +77,6 @@ func run(c *block.Collection, cfg Config, finish func(answer) (int, error)) (Res
 	endSpan := o.StartSpan(obs.StageGraph)
 	g := NewGraphObserved(c, cfg.Scheme, cfg.Workers, o)
 	g.OriginalWeighting = cfg.OriginalWeighting
-	if cfg.CompressedIndex && !o.Canceled() {
-		g.CompressIndex()
-	}
 	endSpan()
 	graphDone := time.Now()
 	if o.Canceled() {

@@ -42,7 +42,7 @@ func (g *Graph) ForEachEdgeOriginal(fn func(i, j entity.ID, w float64)) {
 // pairs in logarithmic hops. It reports ok=false when the first common
 // block ID differs from blockID, which marks the comparison as redundant.
 func (g *Graph) intersect(blockID int32, a, b entity.ID) (common float64, ok bool) {
-	la, lb := g.blockLists(a, b)
+	la, lb := g.index.BlockList(a), g.index.BlockList(b)
 	first := postings.First(la, lb)
 	if first < 0 || first != blockID {
 		return 0, false
@@ -88,7 +88,7 @@ func (g *Graph) distinctNeighbors(i entity.ID) []entity.ID {
 	cells := sc.cells
 	clean := g.blocks.Task == entity.CleanClean
 	iFirst := g.blocks.InFirst(i)
-	for _, bid := range g.blockList(i) {
+	for _, bid := range g.index.BlockList(i) {
 		b := &g.blocks.Blocks[bid]
 		var others []entity.ID
 		switch {
@@ -117,7 +117,7 @@ func (g *Graph) distinctNeighbors(i entity.ID) []entity.ID {
 // original traversal's neighbor set is already distinct), with the same
 // galloping merge as intersect.
 func (g *Graph) intersectAll(a, b entity.ID) (common float64) {
-	la, lb := g.blockLists(a, b)
+	la, lb := g.index.BlockList(a), g.index.BlockList(b)
 	if g.invCard == nil {
 		return float64(postings.IntersectCount(la, lb))
 	}

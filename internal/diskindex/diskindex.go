@@ -303,7 +303,7 @@ func (p *Partition) Gather(keys []string, incs []float64, bi int, nb float64, _ 
 				fail(err)
 			}
 			enc := page[ref.Off : ref.Off+ref.Len]
-			p.members = postings.AppendDecoded(p.members[:0], postings.Varint, enc, int(ref.Count))
+			p.members = postings.AppendDecoded(p.members[:0], enc, int(ref.Count))
 			p.scan.Scan(ki, inc, p.members)
 		}
 		if b := p.mem[k]; b != nil {
@@ -738,7 +738,7 @@ func (p *Partition) Snapshot() *incremental.PartitionSnapshot {
 				fail(err)
 			}
 			enc := scratch[ref.Off : ref.Off+ref.Len]
-			s.Blocks[toks[ti]] = postings.AppendDecoded(s.Blocks[toks[ti]], postings.Varint, enc, int(ref.Count))
+			s.Blocks[toks[ti]] = postings.AppendDecoded(s.Blocks[toks[ti]], enc, int(ref.Count))
 		}
 	}
 	s.Profiles = append(s.Profiles, p.memProfiles...)

@@ -12,15 +12,12 @@ import (
 // CheckWeights verifies the paper's §4.2 equivalence theorem on one
 // collection and scheme: Optimized Edge Weighting (Alg. 3), Original Edge
 // Weighting (Alg. 2) and the oracle's explicit intersection must agree on
-// the exact edge set and on bit-identical weights — with the Entity Index
-// stored flat and compressed (delta+varint/bitmap posting lists).
+// the exact edge set and on bit-identical weights.
 func CheckWeights(c *block.Collection, scheme core.Scheme) error {
 	want := NewGraph(c, scheme).Weights
 	for name, traverse := range map[string]func(func(i, j entity.ID, w float64)){
-		"optimized (Alg. 3)":   core.NewGraph(c, scheme).ForEachEdge,
-		"original (Alg. 2)":    withOriginal(core.NewGraph(c, scheme)).ForEachEdgeOriginal,
-		"optimized compressed": withCompressed(core.NewGraph(c, scheme)).ForEachEdge,
-		"original compressed":  withCompressed(withOriginal(core.NewGraph(c, scheme))).ForEachEdgeOriginal,
+		"optimized (Alg. 3)": core.NewGraph(c, scheme).ForEachEdge,
+		"original (Alg. 2)":  withOriginal(core.NewGraph(c, scheme)).ForEachEdgeOriginal,
 	} {
 		got := make(map[entity.Pair]float64, len(want))
 		dup := false
@@ -56,16 +53,10 @@ func withOriginal(g *core.Graph) *core.Graph {
 	return g
 }
 
-func withCompressed(g *core.Graph) *core.Graph {
-	g.CompressIndex()
-	return g
-}
-
 // CheckPruning verifies that every production implementation of one
 // scheme × algorithm cell — serial optimized, serial with Original Edge
-// Weighting, the parallel path at each given worker count, and the serial
-// and parallel paths over a compressed (posting-list) Entity Index —
-// retains exactly the oracle's comparison multiset.
+// Weighting and the parallel path at each given worker count — retains
+// exactly the oracle's comparison multiset.
 func CheckPruning(c *block.Collection, scheme core.Scheme, alg core.Algorithm, workers ...int) error {
 	want := Prune(c, scheme, alg)
 	label := func(kind string) string { return fmt.Sprintf("%v/%v %s", scheme, alg, kind) }
@@ -78,17 +69,9 @@ func CheckPruning(c *block.Collection, scheme core.Scheme, alg core.Algorithm, w
 	if err := samePairs(label("original-weighting"), orig, want); err != nil {
 		return err
 	}
-	comp := SortPairs(withCompressed(core.NewGraph(c, scheme)).Prune(alg))
-	if err := samePairs(label("compressed"), comp, want); err != nil {
-		return err
-	}
 	for _, w := range workers {
 		par := core.NewGraph(c, scheme).PruneParallel(alg, w)
 		if err := samePairs(label(fmt.Sprintf("parallel workers=%d", w)), par, want); err != nil {
-			return err
-		}
-		cpar := withCompressed(core.NewGraph(c, scheme)).PruneParallel(alg, w)
-		if err := samePairs(label(fmt.Sprintf("compressed parallel workers=%d", w)), cpar, want); err != nil {
 			return err
 		}
 	}

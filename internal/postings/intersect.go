@@ -87,61 +87,6 @@ func gallopCount(short, long []int32) int {
 	return n
 }
 
-// IntersectCountMin returns |a ∩ b| if it is at least min, or -1 otherwise,
-// bailing out as soon as the remaining elements cannot reach min — the
-// LeCoBI early-exit condition from the redundancy check.
-func IntersectCountMin(a, b []int32, min int) int {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(a) < min {
-		return -1
-	}
-	if len(b) >= gallopRatio*len(a) {
-		n, j := 0, 0
-		for k, v := range a {
-			if n+len(a)-k < min {
-				return -1
-			}
-			j = advance(b, j, v)
-			if j == len(b) {
-				if n < min {
-					return -1
-				}
-				return n
-			}
-			if b[j] == v {
-				n++
-				j++
-			}
-		}
-		if n < min {
-			return -1
-		}
-		return n
-	}
-	n, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if n+len(a)-i < min {
-			return -1
-		}
-		x, y := a[i], b[j]
-		if x == y {
-			n++
-			i++
-			j++
-		} else if x < y {
-			i++
-		} else {
-			j++
-		}
-	}
-	if n < min {
-		return -1
-	}
-	return n
-}
-
 // First returns the smallest common element of a and b, or -1 when the
 // intersection is empty — the least-common-block ID used by LeCoBI.
 func First(a, b []int32) int32 {

@@ -1,106 +1,23 @@
-// Package postings provides compressed posting lists — the cache- and
-// GC-friendly representation of the ascending ID lists meta-blocking
-// traverses everywhere: an entity's block list in the Entity Index, a
-// block's member list in the incremental resolver.
+// Package postings provides the ascending ID lists meta-blocking
+// traverses: the delta+varint posting lists that hold a block's members in
+// the incremental resolver and on disk, and the galloping
+// (exponential-search) intersection primitives the Entity Index's flat
+// block lists are compared with.
 //
-// Two encodings are used, chosen per list by encoded size:
-//
-//   - delta+varint: each element is stored as the unsigned LEB128 varint of
-//     its difference from the predecessor. Sparse lists (the common case)
-//     cost one or two bytes per element instead of four.
-//   - dense bitmap: a first-element anchor plus one bit per value in the
-//     list's span. High-frequency entities whose lists cover most block IDs
-//     compress below one bit per element and decode by word scans.
-//
-// All lists decode into caller-provided scratch (decode-into-scratch API),
-// so steady-state traversals allocate nothing. The package also provides
-// the galloping (exponential-search) intersection primitives shared by the
-// flat and compressed index paths.
+// A posting list stores each element as the unsigned LEB128 varint of its
+// difference from the predecessor, so a sparse list costs one or two bytes
+// per element instead of four. Lists decode into caller-provided scratch,
+// so steady-state reads allocate nothing.
 package postings
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 )
 
-// Form identifies a list's encoding.
-type Form byte
-
-const (
-	// Varint is the delta+varint encoding (sparse lists).
-	Varint Form = 0
-	// Bitmap is the dense-bitmap encoding (high-frequency lists).
-	Bitmap Form = 1
-)
-
-// sizeVarint returns the encoded size of the delta+varint form without
-// materializing it.
-func sizeVarint(ids []int32) int {
-	size, prev := 0, int32(0)
-	for _, id := range ids {
-		d := uint32(id - prev)
-		size += (bits.Len32(d|1) + 6) / 7
-		prev = id
-	}
-	return size
-}
-
-// sizeBitmap returns the encoded size of the bitmap form: a 4-byte anchor
-// plus one 8-byte word per 64 values of span.
-func sizeBitmap(ids []int32) int {
-	if len(ids) == 0 {
-		return 0
-	}
-	span := uint64(ids[len(ids)-1]-ids[0]) + 1
-	return 4 + 8*int((span+63)/64)
-}
-
-// appendVarint appends the delta+varint encoding of ids to dst.
-func appendVarint(dst []byte, ids []int32) []byte {
-	prev := int32(0)
-	for _, id := range ids {
-		dst = binary.AppendUvarint(dst, uint64(uint32(id-prev)))
-		prev = id
-	}
-	return dst
-}
-
-// appendBitmap appends the bitmap encoding of ids to dst: the first element
-// as a little-endian uint32 anchor, then span bits in 64-bit words.
-func appendBitmap(dst []byte, ids []int32) []byte {
-	first := ids[0]
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(first))
-	span := int(ids[len(ids)-1]-first) + 1
-	words := (span + 63) / 64
-	at := len(dst)
-	for i := 0; i < words; i++ {
-		dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
-	}
-	for _, id := range ids {
-		bit := uint(id - first)
-		idx := at + 8*int(bit/64)
-		w := binary.LittleEndian.Uint64(dst[idx:])
-		binary.LittleEndian.PutUint64(dst[idx:], w|1<<(bit%64))
-	}
-	return dst
-}
-
-// Append encodes ids (ascending, possibly empty) choosing the smaller of
-// the two forms, appends the encoding to dst and returns the grown buffer
-// and the chosen form.
-func Append(dst []byte, ids []int32) ([]byte, Form) {
-	if len(ids) == 0 {
-		return dst, Varint
-	}
-	if sizeBitmap(ids) < sizeVarint(ids) {
-		return appendBitmap(dst, ids), Bitmap
-	}
-	return appendVarint(dst, ids), Varint
-}
-
-// decodeVarint appends the n values of a delta+varint encoding to dst.
-func decodeVarint(dst []int32, enc []byte, n int) []int32 {
+// AppendDecoded appends the n values of a delta+varint encoding (a
+// Builder's Bytes) to dst.
+func AppendDecoded(dst []int32, enc []byte, n int) []int32 {
 	prev := uint32(0)
 	for i := 0; i < n; i++ {
 		v, k := binary.Uvarint(enc)
@@ -111,99 +28,9 @@ func decodeVarint(dst []int32, enc []byte, n int) []int32 {
 	return dst
 }
 
-// decodeBitmap appends a bitmap encoding's values to dst.
-func decodeBitmap(dst []int32, enc []byte) []int32 {
-	first := int32(binary.LittleEndian.Uint32(enc))
-	enc = enc[4:]
-	for wi := 0; len(enc) >= 8; wi++ {
-		w := binary.LittleEndian.Uint64(enc)
-		enc = enc[8:]
-		base := first + int32(64*wi)
-		for w != 0 {
-			dst = append(dst, base+int32(bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
-	return dst
-}
-
-// AppendDecoded appends the values of one encoded list to dst.
-func AppendDecoded(dst []int32, form Form, enc []byte, n int) []int32 {
-	if n == 0 {
-		return dst
-	}
-	if form == Bitmap {
-		return decodeBitmap(dst, enc)
-	}
-	return decodeVarint(dst, enc, n)
-}
-
-// Packed stores many posting lists in one flat byte arena — the compressed
-// counterpart of the Entity Index's flat []int32 backing array. Building it
-// costs a constant number of allocations regardless of how many lists it
-// holds. Packed is immutable after Pack and safe for concurrent readers.
-type Packed struct {
-	data    []byte
-	offsets []int64 // len = lists+1; list i occupies data[offsets[i]:offsets[i+1]]
-	counts  []int32
-	forms   []byte
-}
-
-// Pack encodes every list. Lists must be ascending; empty and nil lists
-// are allowed and cost nothing.
-func Pack(lists [][]int32) *Packed {
-	p := &Packed{
-		offsets: make([]int64, len(lists)+1),
-		counts:  make([]int32, len(lists)),
-		forms:   make([]byte, len(lists)),
-	}
-	size := 0
-	for _, ids := range lists {
-		if len(ids) == 0 {
-			continue
-		}
-		if sb, sv := sizeBitmap(ids), sizeVarint(ids); sb < sv {
-			size += sb
-		} else {
-			size += sv
-		}
-	}
-	p.data = make([]byte, 0, size)
-	var form Form
-	for i, ids := range lists {
-		p.data, form = Append(p.data, ids)
-		p.offsets[i+1] = int64(len(p.data))
-		p.counts[i] = int32(len(ids))
-		p.forms[i] = byte(form)
-	}
-	return p
-}
-
-// Lists returns the number of lists packed.
-func (p *Packed) Lists() int { return len(p.counts) }
-
-// Count returns the number of values in list i without decoding it.
-func (p *Packed) Count(i int) int { return int(p.counts[i]) }
-
-// Form returns list i's encoding.
-func (p *Packed) Form(i int) Form { return Form(p.forms[i]) }
-
-// AppendList appends list i's values to dst (decode-into-scratch: pass a
-// reused buffer sliced to [:0] and no steady-state allocation happens once
-// the buffer has grown to the largest list).
-func (p *Packed) AppendList(dst []int32, i int) []int32 {
-	return AppendDecoded(dst, Form(p.forms[i]), p.data[p.offsets[i]:p.offsets[i+1]], int(p.counts[i]))
-}
-
-// SizeBytes returns the arena footprint: encoded bytes plus per-list
-// bookkeeping.
-func (p *Packed) SizeBytes() int {
-	return len(p.data) + 8*len(p.offsets) + 4*len(p.counts) + len(p.forms)
-}
-
-// Builder is an append-only posting list for strictly ascending IDs — the
-// write-side counterpart of Packed used by the incremental resolver's
-// growing token blocks. Appending is O(1): one varint of the delta.
+// Builder is an append-only posting list for strictly ascending IDs — a
+// growing token block of the incremental resolver or the disk index.
+// Appending is O(1): one varint of the delta.
 //
 // The zero value is an empty list.
 type Builder struct {
@@ -238,16 +65,11 @@ func (b *Builder) Last() int32 {
 
 // AppendTo appends the decoded IDs to dst (decode-into-scratch).
 func (b *Builder) AppendTo(dst []int32) []int32 {
-	return decodeVarint(dst, b.enc, int(b.n))
+	return AppendDecoded(dst, b.enc, int(b.n))
 }
 
 // SizeBytes returns the encoded size in bytes.
 func (b *Builder) SizeBytes() int { return len(b.enc) }
-
-// Clone deep-copies the builder.
-func (b *Builder) Clone() *Builder {
-	return &Builder{enc: append([]byte(nil), b.enc...), last: b.last, n: b.n}
-}
 
 // Bytes returns the raw delta+varint encoding of the list — the bytes a
 // disk segment stores verbatim. The slice aliases the builder; callers

@@ -1,6 +1,7 @@
 package postings
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -26,113 +27,6 @@ func randAscending(rng *rand.Rand, n, span int) []int32 {
 	return out
 }
 
-func TestRoundTripForms(t *testing.T) {
-	cases := [][]int32{
-		nil,
-		{},
-		{0},
-		{5},
-		{0, 1, 2, 3, 4, 5, 6, 7},            // dense from zero → bitmap
-		{100, 101, 102, 103, 104, 105, 106}, // dense with anchor → bitmap
-		{0, 1000000},                        // sparse extremes → varint
-		{7, 63, 64, 65, 127, 128, 129, 1 << 20},
-		{2147483600, 2147483640, 2147483647}, // near int32 max
-	}
-	for _, ids := range cases {
-		enc, form := Append(nil, ids)
-		got := AppendDecoded(nil, form, enc, len(ids))
-		if len(ids) == 0 {
-			if len(got) != 0 {
-				t.Fatalf("empty list decoded to %v", got)
-			}
-			continue
-		}
-		if !slices.Equal(got, ids) {
-			t.Fatalf("round trip form=%d: got %v want %v", form, got, ids)
-		}
-	}
-}
-
-func TestFormSelection(t *testing.T) {
-	dense := make([]int32, 512)
-	for i := range dense {
-		dense[i] = int32(i)
-	}
-	if _, form := Append(nil, dense); form != Bitmap {
-		t.Fatalf("dense run should pick bitmap, got %d", form)
-	}
-	sparse := []int32{0, 1 << 10, 1 << 20, 1 << 29}
-	if _, form := Append(nil, sparse); form != Varint {
-		t.Fatalf("sparse list should pick varint, got %d", form)
-	}
-}
-
-func TestRoundTripRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(200)
-		span := 1 + rng.Intn(4000)
-		ids := randAscending(rng, n, span)
-		enc, form := Append(nil, ids)
-		got := AppendDecoded(nil, form, enc, len(ids))
-		if !slices.Equal(got, ids) && !(len(got) == 0 && len(ids) == 0) {
-			t.Fatalf("trial %d form=%d: got %v want %v", trial, form, got, ids)
-		}
-	}
-}
-
-func TestPacked(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	lists := make([][]int32, 100)
-	for i := range lists {
-		switch i % 4 {
-		case 0:
-			lists[i] = nil
-		case 1:
-			lists[i] = randAscending(rng, 1+rng.Intn(5), 10000) // sparse
-		default:
-			base := int32(rng.Intn(1000))
-			n := 1 + rng.Intn(300)
-			run := make([]int32, n)
-			for j := range run {
-				run[j] = base + int32(j) // dense
-			}
-			lists[i] = run
-		}
-	}
-	p := Pack(lists)
-	if p.Lists() != len(lists) {
-		t.Fatalf("Lists() = %d, want %d", p.Lists(), len(lists))
-	}
-	var scratch []int32
-	for i, want := range lists {
-		if p.Count(i) != len(want) {
-			t.Fatalf("Count(%d) = %d, want %d", i, p.Count(i), len(want))
-		}
-		scratch = p.AppendList(scratch[:0], i)
-		if !slices.Equal(scratch, want) && !(len(scratch) == 0 && len(want) == 0) {
-			t.Fatalf("list %d: got %v want %v", i, scratch, want)
-		}
-	}
-	if p.SizeBytes() <= 0 {
-		t.Fatal("SizeBytes should be positive")
-	}
-}
-
-func TestPackedDecodeAllocFree(t *testing.T) {
-	lists := [][]int32{{1, 2, 3, 900}, {5, 6, 7, 8, 9, 10}, {42}}
-	p := Pack(lists)
-	scratch := make([]int32, 0, 64)
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < p.Lists(); i++ {
-			scratch = p.AppendList(scratch[:0], i)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("decode into scratch allocated %v times per run", allocs)
-	}
-}
-
 func TestBuilder(t *testing.T) {
 	var b Builder
 	if b.Len() != 0 || b.Last() != -1 {
@@ -148,11 +42,6 @@ func TestBuilder(t *testing.T) {
 	if got := b.AppendTo(nil); !slices.Equal(got, ids) {
 		t.Fatalf("AppendTo = %v, want %v", got, ids)
 	}
-	c := b.Clone()
-	c.Append(1 << 21)
-	if b.Len() != len(ids) {
-		t.Fatal("Clone must not share state")
-	}
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -161,6 +50,62 @@ func TestBuilder(t *testing.T) {
 		}()
 		b.Append(5)
 	}()
+}
+
+// TestVarintDecode checks that AppendDecoded gives back every list a
+// Builder encoded, across the varint width boundaries and up to the
+// largest ID.
+func TestVarintDecode(t *testing.T) {
+	cases := [][]int32{
+		nil,
+		{0},
+		{127, 255, 256, 512},              // deltas 127 and 128: one byte, then two
+		{0, 16383, 32767, 32768, 1 << 21}, // deltas 16383 and 16384: two bytes, then three
+		{0, math.MaxInt32},                // the widest delta
+		{math.MaxInt32 - 2, math.MaxInt32 - 1, math.MaxInt32},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 200 {
+		cases = append(cases, randAscending(rng, rng.Intn(200), 1+rng.Intn(1<<20)))
+	}
+	scratch := []int32{-1, -1, -1}
+	for _, ids := range cases {
+		var b Builder
+		for _, id := range ids {
+			b.Append(id)
+		}
+		scratch = AppendDecoded(scratch[:0], b.Bytes(), b.Len())
+		if !slices.Equal(scratch, ids) {
+			t.Fatalf("AppendDecoded = %v, want %v", scratch, ids)
+		}
+	}
+}
+
+// TestRebaseVarint checks that splicing a second Builder's bytes onto a
+// first one's, re-based on the first list's last ID, decodes to the
+// concatenation of the two lists.
+func TestRebaseVarint(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for range 100 {
+		ids := randAscending(rng, 2+rng.Intn(100), 1+rng.Intn(1<<16))
+		cut := 1 + rng.Intn(len(ids)-1)
+		var lo, hi Builder
+		for _, id := range ids[:cut] {
+			lo.Append(id)
+		}
+		for _, id := range ids[cut:] {
+			hi.Append(id)
+		}
+		enc := RebaseVarint(slices.Clone(lo.Bytes()), lo.Last(), hi.Bytes())
+		if got := AppendDecoded(nil, enc, len(ids)); !slices.Equal(got, ids) {
+			t.Fatalf("spliced at %d: decoded %v, want %v", cut, got, ids)
+		}
+	}
+	var b Builder
+	b.Append(7)
+	if got := RebaseVarint(b.Bytes(), 7, nil); !slices.Equal(got, b.Bytes()) {
+		t.Fatalf("empty enc appended: %v, want %v", got, b.Bytes())
+	}
 }
 
 func TestAdvance(t *testing.T) {
@@ -223,35 +168,11 @@ func TestIntersectionsRandom(t *testing.T) {
 		if !slices.Equal(seen, want) && !(len(seen) == 0 && len(want) == 0) {
 			t.Fatalf("trial %d: ForEachCommon = %v, want %v", trial, seen, want)
 		}
-		for _, min := range []int{0, 1, 2, len(want), len(want) + 1} {
-			got := IntersectCountMin(a, b, min)
-			if len(want) >= min {
-				if got != len(want) {
-					t.Fatalf("trial %d: IntersectCountMin(min=%d) = %d, want %d", trial, min, got, len(want))
-				}
-			} else if got != -1 {
-				t.Fatalf("trial %d: IntersectCountMin(min=%d) = %d, want -1", trial, min, got)
-			}
-		}
 	}
 }
 
 func TestPackedFormAndBuilderSize(t *testing.T) {
-	// A short sparse list encodes as varint; a long dense run crosses the
-	// size break-even and encodes as a bitmap.
 	sparse := []int32{3, 900, 40000}
-	dense := make([]int32, 300)
-	for i := range dense {
-		dense[i] = int32(i)
-	}
-	p := Pack([][]int32{sparse, dense})
-	if got := p.Form(0); got != Varint {
-		t.Errorf("sparse list Form = %v, want Varint", got)
-	}
-	if got := p.Form(1); got != Bitmap {
-		t.Errorf("dense list Form = %v, want Bitmap", got)
-	}
-
 	var b Builder
 	if b.SizeBytes() != 0 {
 		t.Errorf("empty Builder SizeBytes = %d, want 0", b.SizeBytes())

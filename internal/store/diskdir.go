@@ -498,7 +498,7 @@ func LoadDiskDir(root string) (*incremental.Snapshot, error) {
 					return nil, err
 				}
 				enc := scratch[ref.Off : ref.Off+ref.Len]
-				ps.Blocks[tok] = postings.AppendDecoded(ps.Blocks[tok], postings.Varint, enc, int(ref.Count))
+				ps.Blocks[tok] = postings.AppendDecoded(ps.Blocks[tok], enc, int(ref.Count))
 			}
 		}
 		segs[k] = ps

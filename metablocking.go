@@ -46,8 +46,8 @@ var (
 	// ErrEmptyCollection is returned when the pipeline input is nil or has
 	// no profiles.
 	ErrEmptyCollection = errors.New("metablocking: empty collection")
-	// ErrInvalidFilterRatio is returned when FilterRatio falls outside
-	// [0, 1].
+	// ErrInvalidFilterRatio is returned when FilterRatio is NaN or falls
+	// outside [0, 1].
 	ErrInvalidFilterRatio = errors.New("metablocking: FilterRatio must be in [0, 1]")
 	// ErrGraphFreeNeedsFilter is returned when GraphFree is set without a
 	// FilterRatio — the graph-free workflow of Figure 7(b) is Block
@@ -236,12 +236,6 @@ type Pipeline struct {
 	Algorithm Algorithm
 	// OriginalWeighting switches to Algorithm 2 edge weighting.
 	OriginalWeighting bool
-	// CompressedIndex stores the blocking graph's Entity Index as
-	// delta+varint posting lists (with a dense-bitmap fallback) instead of
-	// flat int32 views, trading a decode per neighborhood scan for a
-	// fraction of the memory. Retained pairs are bit-identical to the
-	// flat index for every scheme and algorithm.
-	CompressedIndex bool
 	// Workers parallelizes every stage of the pipeline — blocking (for the
 	// sharded methods: Token, Q-grams, Suffix Arrays, Extended Q-grams),
 	// Block Filtering, graph construction and pruning, or the graph-free
@@ -447,7 +441,7 @@ func (p Pipeline) clean(ctx context.Context, c *Collection, opts []RunOption) (*
 	if method == nil {
 		method = TokenBlocking{}
 	}
-	if p.FilterRatio < 0 || p.FilterRatio > 1 {
+	if !(p.FilterRatio >= 0 && p.FilterRatio <= 1) { // NaN fails both comparisons
 		return nil, ErrInvalidFilterRatio
 	}
 	if p.GraphFree && p.FilterRatio == 0 {
@@ -505,7 +499,6 @@ func (p Pipeline) coreConfig(o *obs.Observer) core.Config {
 		Algorithm:         p.Algorithm,
 		OriginalWeighting: p.OriginalWeighting,
 		Workers:           p.Workers,
-		CompressedIndex:   p.CompressedIndex,
 		Obs:               o,
 	}
 }

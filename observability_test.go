@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"sort"
@@ -28,6 +29,11 @@ func TestSentinelErrors(t *testing.T) {
 	}
 	if _, err := (Pipeline{FilterRatio: -0.1}).Run(ds.Collection); !errors.Is(err, ErrInvalidFilterRatio) {
 		t.Errorf("FilterRatio -0.1: got %v, want ErrInvalidFilterRatio", err)
+	}
+	for _, p := range []Pipeline{{FilterRatio: math.NaN()}, {FilterRatio: math.NaN(), GraphFree: true}} {
+		if _, err := p.Run(ds.Collection); !errors.Is(err, ErrInvalidFilterRatio) {
+			t.Errorf("FilterRatio NaN, GraphFree %v: got %v, want ErrInvalidFilterRatio", p.GraphFree, err)
+		}
 	}
 	if _, err := (Pipeline{GraphFree: true}).Run(ds.Collection); !errors.Is(err, ErrGraphFreeNeedsFilter) {
 		t.Errorf("GraphFree without ratio: got %v, want ErrGraphFreeNeedsFilter", err)

@@ -126,20 +126,6 @@ func TestPipelineMatchesOracle(t *testing.T) {
 						t.Fatalf("%v/%v: observability changed the result (%d vs %d pairs)",
 							scheme, alg, len(got), len(want))
 					}
-					// The compressed Entity Index must be invisible in the
-					// output: identical retained pairs, serial and parallel.
-					for _, w := range []int{0, 4} {
-						p := Pipeline{FilterRatio: 0.8, Scheme: scheme, Algorithm: alg, Workers: w, CompressedIndex: true}
-						res, err := p.RunContext(context.Background(), coll)
-						if err != nil {
-							t.Fatalf("%v/%v compressed workers=%d: %v", scheme, alg, w, err)
-						}
-						got := oracle.SortPairs(append([]Pair(nil), res.Pairs...))
-						if !equalPairs(got, want) {
-							t.Fatalf("%v/%v compressed workers=%d: %d pairs, oracle %d (first diff: %v)",
-								scheme, alg, w, len(got), len(want), firstDiff(got, want))
-						}
-					}
 				}
 			}
 		})
