@@ -9,7 +9,9 @@ COVER_BASELINE ?= 88.5
 .PHONY: check race cover fuzz-smoke serve-smoke chaos-smoke bench-smoke ci bench-parallel bench-serve bench-json bench-gate
 
 ## check: gofmt, vet, build and test everything (the tier-1 gate); fails
-## on any file gofmt would rewrite.
+## on any file gofmt would rewrite. `go test ./...` includes the dead-code
+## gate (TestNoDeadCode in deadcode_test.go): production code that no
+## production code uses fails it.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
@@ -20,7 +22,7 @@ check:
 ## race: run the packages with concurrency — including the root package's
 ## observability/cancellation tests — under the race detector.
 race:
-	$(GO) test -race . ./internal/core/... ./internal/block/... ./internal/blocking/... ./internal/blockproc/... ./internal/obs/... ./internal/oracle/... ./internal/server/... ./internal/shard/... ./internal/incremental/... ./internal/budget/... ./internal/fault/... ./internal/par/... ./internal/store/... ./internal/diskindex/... ./internal/eval ./internal/dataio ./cmd/serve ./cmd/metablock
+	$(GO) test -race . ./internal/arena/... ./internal/core/... ./internal/block/... ./internal/blocking/... ./internal/blockproc/... ./internal/obs/... ./internal/oracle/... ./internal/server/... ./internal/shard/... ./internal/incremental/... ./internal/budget/... ./internal/fault/... ./internal/par/... ./internal/store/... ./internal/diskindex/... ./internal/eval ./internal/dataio ./cmd/serve ./cmd/metablock
 
 ## cover: fail if total statement coverage drops below COVER_BASELINE.
 cover:

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"metablocking/internal/blocking"
-	"metablocking/internal/blockproc"
 	"metablocking/internal/core"
 	"metablocking/internal/incremental"
 	"metablocking/internal/progressive"
@@ -67,23 +66,6 @@ func BenchmarkMinHashBlocking(b *testing.B) {
 	b.Run("token", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			blocking.TokenBlocking{}.Build(d.ds.Collection)
-		}
-	})
-}
-
-// BenchmarkAblationAutoPurging contrasts the paper's size-based purging
-// with the automatic comparison-based threshold of ref [21].
-func BenchmarkAblationAutoPurging(b *testing.B) {
-	d := benchDatasets(b)["D2D"]
-	raw := blocking.TokenBlocking{}.Build(d.ds.Collection)
-	b.Run("size-based", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			blockproc.BlockPurging{}.Apply(raw)
-		}
-	})
-	b.Run("auto", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			blockproc.AutoBlockPurging{}.Apply(raw)
 		}
 	})
 }

@@ -23,6 +23,7 @@ import (
 	"metablocking/internal/blockproc"
 	"metablocking/internal/core"
 	"metablocking/internal/datagen"
+	"metablocking/internal/oracle"
 )
 
 // benchScale keeps the full bench suite in the minutes range.
@@ -234,8 +235,8 @@ func BenchmarkAblationPropagation(b *testing.B) {
 		apply func(*block.Collection) []Pair
 	}{
 		{"scancount", blockproc.ComparisonPropagation{}.Apply},
-		{"lecobi", blockproc.ComparisonPropagation{}.ApplyLeCoBI},
-		{"direct-hash", blockproc.ComparisonPropagation{}.ApplyDirect},
+		{"lecobi", oracle.PropagateLeCoBI},
+		{"direct-hash", oracle.PropagateDirect},
 	} {
 		b.Run(row.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -25,6 +25,10 @@ func main() {
 	only := flag.String("dataset", "", "generate a single dataset (D1C..D3D)")
 	dump := flag.String("dump", "", "write the selected dataset's profiles to a CSV file")
 	flag.Parse()
+	if !datagen.ValidScale(*scale) {
+		fmt.Fprintf(os.Stderr, "datagen: -scale %v: the scale must be a finite number above 0\n", *scale)
+		os.Exit(1)
+	}
 
 	datasets := datagen.AllDatasets(*scale)
 	fmt.Printf("%-5s %10s %10s %8s %10s %6s %14s\n",

@@ -15,6 +15,7 @@ import (
 	"os"
 	"time"
 
+	"metablocking/internal/datagen"
 	"metablocking/internal/experiments"
 	"metablocking/internal/obs"
 )
@@ -28,6 +29,10 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print the aggregated pipeline counter table to stderr on exit")
 	pprofAddr := flag.String("pprof", "", "serve expvar and net/http/pprof on this address while the suite runs")
 	flag.Parse()
+	if !datagen.ValidScale(*scale) {
+		fmt.Fprintf(os.Stderr, "experiments: -scale %v: the scale must be a finite number above 0\n", *scale)
+		os.Exit(1)
+	}
 
 	var reg *obs.Metrics
 	if *metrics || *pprofAddr != "" {

@@ -31,6 +31,7 @@ import (
 
 	mb "metablocking"
 	"metablocking/internal/arena"
+	"metablocking/internal/datagen"
 	"metablocking/internal/dataio"
 	"metablocking/internal/eval"
 	"metablocking/internal/matching"
@@ -66,6 +67,9 @@ func run() error {
 	flag.Parse()
 	if !(*match >= 0 && *match <= 1) { // NaN fails both comparisons
 		return fmt.Errorf("-match %v: the threshold must be in [0, 1]", *match)
+	}
+	if !datagen.ValidScale(*scale) {
+		return fmt.Errorf("-scale %v: the scale must be a finite number above 0", *scale)
 	}
 
 	// Interrupt (Ctrl-C) cancels the pipeline cooperatively: every stage
@@ -232,6 +236,8 @@ func loadInput(input, truth, dataset string, scale float64) (*mb.Collection, *mb
 	switch {
 	case input != "" && dataset != "":
 		return nil, nil, fmt.Errorf("-input and -dataset are mutually exclusive")
+	case truth != "" && dataset != "":
+		return nil, nil, fmt.Errorf("-truth and -dataset are mutually exclusive: a dataset carries its own ground truth")
 	case dataset != "":
 		id, err := parseDataset(dataset)
 		if err != nil {

@@ -117,14 +117,21 @@ func TestReadTruth(t *testing.T) {
 }
 
 // TestThresholdValidation: a -match or -filter that is NaN or outside
-// [0, 1] fails the run, instead of silently writing raw comparisons or
-// skipping Block Filtering.
+// [0, 1], a -scale that is not a finite number above 0, and a -truth
+// beside -dataset fail the run, instead of silently writing raw
+// comparisons, skipping Block Filtering, generating at another scale or
+// ignoring the truth file.
 func TestThresholdValidation(t *testing.T) {
 	for _, tc := range []struct{ flag, value, want string }{
 		{"-match", "NaN", "-match NaN"},
 		{"-match", "-0.1", "-match -0.1"},
 		{"-match", "1.5", "-match 1.5"},
 		{"-filter", "NaN", mb.ErrInvalidFilterRatio.Error()},
+		{"-scale", "NaN", "-scale NaN"},
+		{"-scale", "0", "-scale 0"},
+		{"-scale", "-1", "-scale -1"},
+		{"-scale", "+Inf", "-scale +Inf"},
+		{"-truth", "/nonexistent", "-truth and -dataset"},
 	} {
 		out := filepath.Join(t.TempDir(), "pairs.csv")
 		err := runMain(t, "-dataset", "d1d", "-scale", "0.02", "-graphfree", "-output", out, tc.flag, tc.value)

@@ -112,13 +112,6 @@ func (x *EntityIndex) BlockList(id entity.ID) []int32 { return x.lists[id] }
 // NumBlocks returns |Bi|, the number of blocks containing the entity.
 func (x *EntityIndex) NumBlocks(id entity.ID) int { return len(x.lists[id]) }
 
-// CommonBlocks returns |Bij|, the number of blocks shared by the two
-// entities, by intersecting their sorted block lists (the core of the
-// paper's Algorithm 2) with a galloping merge for skewed list pairs.
-func (x *EntityIndex) CommonBlocks(a, b entity.ID) int {
-	return postings.IntersectCount(x.BlockList(a), x.BlockList(b))
-}
-
 // LeastCommonBlock returns the smallest block ID shared by the two
 // entities, or -1 if they share none.
 func (x *EntityIndex) LeastCommonBlock(a, b entity.ID) int32 {

@@ -32,7 +32,7 @@ func TestCanopyClusteringMostSimilarShareOneBlock(t *testing.T) {
 	idx := block.NewEntityIndex(blocks)
 	// Redundancy-negative: the most similar pair (0,1) shares exactly one
 	// canopy.
-	if n := idx.CommonBlocks(0, 1); n != 1 {
+	if n := commonBlocks(idx, 0, 1); n != 1 {
 		t.Fatalf("tight pair shares %d canopies, want exactly 1", n)
 	}
 }
@@ -141,10 +141,10 @@ func TestExtendedSortedNeighborhoodSkewRobust(t *testing.T) {
 	c := entity.NewDirty(profiles)
 	blocks := ExtendedSortedNeighborhood{Window: 2}.Build(c)
 	idx := block.NewEntityIndex(blocks)
-	if idx.CommonBlocks(0, 3) == 0 {
+	if commonBlocks(idx, 0, 3) == 0 {
 		t.Fatal("same-key profiles not co-blocked")
 	}
-	if idx.CommonBlocks(0, 4) == 0 {
+	if commonBlocks(idx, 0, 4) == 0 {
 		t.Fatal("adjacent-key profiles not co-blocked")
 	}
 }

@@ -20,7 +20,7 @@ func TestMinHashIdenticalProfilesAlwaysCollide(t *testing.T) {
 	}
 	idx := block.NewEntityIndex(blocks)
 	// Identical token sets → identical signatures → all 8 bands shared.
-	if got := idx.CommonBlocks(0, 1); got != 8 {
+	if got := commonBlocks(idx, 0, 1); got != 8 {
 		t.Fatalf("identical profiles share %d bands, want 8", got)
 	}
 }

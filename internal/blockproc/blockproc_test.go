@@ -8,7 +8,6 @@ import (
 
 	"metablocking/internal/block"
 	"metablocking/internal/blocking"
-	"metablocking/internal/datagen"
 	"metablocking/internal/entity"
 	"metablocking/internal/paperexample"
 )
@@ -150,22 +149,6 @@ func TestBlockFilteringDropsEmptyBlocks(t *testing.T) {
 	}
 }
 
-func TestComparisonPropagationMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 25; trial++ {
-		c := randomDirty(rng, 30, 20)
-		fast := ComparisonPropagation{}.Apply(c)
-		direct := ComparisonPropagation{}.ApplyDirect(c)
-		if !samePairs(fast, direct) {
-			t.Fatalf("trial %d: LeCoBI (%d pairs) and direct (%d pairs) disagree",
-				trial, len(fast), len(direct))
-		}
-		if int64(len(fast)) != DistinctComparisons(c) {
-			t.Fatalf("trial %d: DistinctComparisons disagrees", trial)
-		}
-	}
-}
-
 func TestComparisonPropagationPaperExample(t *testing.T) {
 	c := blocking.TokenBlocking{}.Build(paperexample.Collection())
 	pairs := ComparisonPropagation{}.Apply(c)
@@ -281,81 +264,4 @@ func randomDirty(rng *rand.Rand, numEntities, numBlocks int) *block.Collection {
 		c.Blocks = append(c.Blocks, block.Block{Key: string(rune('a' + b)), E1: members})
 	}
 	return c
-}
-
-func samePairs(a, b []entity.Pair) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	as := append([]entity.Pair(nil), a...)
-	bs := append([]entity.Pair(nil), b...)
-	less := func(s []entity.Pair) func(i, j int) bool {
-		return func(i, j int) bool {
-			if s[i].A != s[j].A {
-				return s[i].A < s[j].A
-			}
-			return s[i].B < s[j].B
-		}
-	}
-	sort.Slice(as, less(as))
-	sort.Slice(bs, less(bs))
-	return reflect.DeepEqual(as, bs)
-}
-
-func TestAutoBlockPurgingThreshold(t *testing.T) {
-	// A long tail of 1-comparison blocks plus one quadratic monster: the
-	// automatic threshold must sit at the tail and purge the monster.
-	c := &block.Collection{Task: entity.Dirty, NumEntities: 200, Split: 200}
-	for i := 0; i < 50; i++ {
-		c.Blocks = append(c.Blocks, block.Block{
-			Key: "small", E1: []entity.ID{entity.ID(2 * i), entity.ID(2*i + 1)},
-		})
-	}
-	var big []entity.ID
-	for i := 100; i < 200; i++ {
-		big = append(big, entity.ID(i))
-	}
-	c.Blocks = append(c.Blocks, block.Block{Key: "monster", E1: big}) // 4950 comparisons
-
-	ap := AutoBlockPurging{}
-	if got := ap.Threshold(c); got != 1 {
-		t.Fatalf("threshold = %d, want 1", got)
-	}
-	out := ap.Apply(c)
-	if out.Len() != 50 {
-		t.Fatalf("|B| = %d after auto purge, want 50", out.Len())
-	}
-}
-
-func TestAutoBlockPurgingKeepsUniformCollections(t *testing.T) {
-	// All blocks the same size: nothing is disproportionate, nothing is
-	// purged.
-	c := &block.Collection{Task: entity.Dirty, NumEntities: 100, Split: 100}
-	for i := 0; i < 20; i++ {
-		c.Blocks = append(c.Blocks, block.Block{
-			Key: "b", E1: []entity.ID{entity.ID(3 * i), entity.ID(3*i + 1), entity.ID(3*i + 2)},
-		})
-	}
-	out := AutoBlockPurging{}.Apply(c)
-	if out.Len() != c.Len() {
-		t.Fatalf("uniform collection purged: %d of %d kept", out.Len(), c.Len())
-	}
-	if (AutoBlockPurging{}).Threshold(&block.Collection{}) != 0 {
-		t.Fatal("empty collection threshold must be 0")
-	}
-}
-
-func TestAutoBlockPurgingOnSyntheticData(t *testing.T) {
-	ds := datagen.D2D(0.05)
-	c := blocking.TokenBlocking{}.Build(ds.Collection)
-	out := AutoBlockPurging{}.Apply(c)
-	if out.Comparisons() >= c.Comparisons() {
-		t.Fatal("auto purging removed nothing on skewed data")
-	}
-	// Recall must survive: duplicates live in the small blocks.
-	pc := float64(out.DetectedDuplicates(ds.GroundTruth)) / float64(ds.GroundTruth.Size())
-	if pc < 0.9 {
-		t.Fatalf("auto purging destroyed recall: %.3f", pc)
-	}
-	t.Logf("auto purge: ‖B‖ %d → %d (PC %.3f)", c.Comparisons(), out.Comparisons(), pc)
 }

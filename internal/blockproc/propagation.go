@@ -15,8 +15,9 @@ import (
 // two block lists per comparison — O(2·BPE·‖B‖), the cost the paper's own
 // §4.2 replaces with a ScanCount per node (Alg. 3) — so Apply runs that
 // ScanCount instead: node i walks its blocks and keeps each co-occurring
-// j the first time it meets it. The distinct set is the same; ApplyLeCoBI
-// and ApplyDirect stay as references.
+// j the first time it meets it. The distinct set is the same; ref [21]'s
+// form and the direct hash-set form stay as test references in
+// internal/oracle.
 type ComparisonPropagation struct {
 	// Workers splits the node range: 0 or 1 is serial, negative uses
 	// GOMAXPROCS. The output is identical, element for element, for every
@@ -209,55 +210,6 @@ func scanNodes(c *block.Collection, idx *block.EntityIndex, lo, hi int, stamp []
 	}
 	meter.Add(int64(hi-lo) & obs.StrideMask)
 	return out
-}
-
-// ApplyLeCoBI is ref [21]'s Comparison Propagation as the paper describes
-// it (§2): blocks are enumerated in their processing order, the Entity
-// Index is built, and a comparison inside block b is executed only if b's
-// ID is the least common block ID of the two profiles (the LeCoBI
-// condition). It returns the distinct comparisons in block processing
-// order and is kept as a test oracle and ablation row for Apply.
-func (ComparisonPropagation) ApplyLeCoBI(c *block.Collection) []entity.Pair {
-	idx := block.NewEntityIndex(c)
-	var out []entity.Pair
-	c.ForEachComparison(func(blockID int, a, b entity.ID) bool {
-		if idx.IsNonRedundant(int32(blockID), a, b) {
-			out = append(out, entity.MakePair(a, b))
-		}
-		return true
-	})
-	return out
-}
-
-// ApplyDirect removes redundant comparisons with a central hash of executed
-// comparisons — the small-scale strategy the paper mentions (§2). It is the
-// second test oracle for Apply.
-func (ComparisonPropagation) ApplyDirect(c *block.Collection) []entity.Pair {
-	seen := make(map[entity.Pair]struct{})
-	var out []entity.Pair
-	c.ForEachComparison(func(_ int, a, b entity.ID) bool {
-		p := entity.MakePair(a, b)
-		if _, ok := seen[p]; !ok {
-			seen[p] = struct{}{}
-			out = append(out, p)
-		}
-		return true
-	})
-	return out
-}
-
-// DistinctComparisons returns the number of non-redundant comparisons in
-// the collection without materializing them: the count pass of
-// ComparisonPropagation.Apply.
-func DistinctComparisons(c *block.Collection) int64 {
-	nodes := emittingNodes(c)
-	counts := make([]int64, nodes+1)
-	scanNodes(c, block.NewEntityIndex(c), 0, nodes, make([]int32, c.NumEntities), counts, nil, nil, nil)
-	var total int64
-	for _, n := range counts {
-		total += n
-	}
-	return total
 }
 
 // GraphFreeMetaBlocking is the blocking-graph-free workflow of Figure 7(b):

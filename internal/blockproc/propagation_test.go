@@ -1,4 +1,4 @@
-package blockproc
+package blockproc_test
 
 import (
 	"context"
@@ -9,8 +9,10 @@ import (
 	"testing"
 
 	"metablocking/internal/block"
+	"metablocking/internal/blockproc"
 	"metablocking/internal/entity"
 	"metablocking/internal/obs"
+	"metablocking/internal/oracle"
 )
 
 // randomClean builds a Clean-Clean collection of bilateral blocks over
@@ -46,8 +48,8 @@ func ids(lo, hi int) []entity.ID {
 func propagationInputs() map[string]*block.Collection {
 	rng := rand.New(rand.NewSource(22))
 	in := map[string]*block.Collection{
-		"dirty":        randomDirty(rng, 60, 45),
-		"dirty-dense":  randomDirty(rng, 12, 80),
+		"dirty":        blockproc.RandomDirty(rng, 60, 45),
+		"dirty-dense":  blockproc.RandomDirty(rng, 12, 80),
 		"clean":        randomClean(rng, 50, 20, 40),
 		"clean-skewed": randomClean(rng, 40, 3, 30),
 		// Σ|b|² worst case: every pair co-occurs, in one block.
@@ -66,9 +68,9 @@ func propagationInputs() map[string]*block.Collection {
 
 	// IDs 10..29 and the last five appear in no block; single-member and
 	// empty blocks sit between the real ones.
-	gaps := randomDirty(rng, 10, 12)
+	gaps := blockproc.RandomDirty(rng, 10, 12)
 	gaps.NumEntities, gaps.Split = 45, 45
-	for _, b := range randomDirty(rng, 10, 12).Blocks {
+	for _, b := range blockproc.RandomDirty(rng, 10, 12).Blocks {
 		for k := range b.E1 {
 			b.E1[k] += 30
 		}
@@ -90,21 +92,18 @@ func propagationInputs() map[string]*block.Collection {
 
 // TestPropagationScanCountMatchesReferences: the node-centric pass returns
 // the distinct set of both references, the same slice for every worker
-// count, as many pairs as DistinctComparisons counts, all canonical.
+// count, all canonical.
 func TestPropagationScanCountMatchesReferences(t *testing.T) {
 	for name, c := range propagationInputs() {
 		t.Run(name, func(t *testing.T) {
-			lecobi := ComparisonPropagation{}.ApplyLeCoBI(c)
-			direct := ComparisonPropagation{}.ApplyDirect(c)
+			lecobi := oracle.PropagateLeCoBI(c)
+			direct := oracle.PropagateDirect(c)
 			if !samePairs(lecobi, direct) {
 				t.Fatalf("references disagree: LeCoBI %d pairs, direct %d", len(lecobi), len(direct))
 			}
-			serial := ComparisonPropagation{}.Apply(c)
+			serial := blockproc.ComparisonPropagation{}.Apply(c)
 			if !samePairs(serial, direct) {
 				t.Fatalf("Apply retains %d pairs, references %d", len(serial), len(direct))
-			}
-			if got := DistinctComparisons(c); got != int64(len(serial)) {
-				t.Fatalf("DistinctComparisons = %d, Apply returns %d pairs", got, len(serial))
 			}
 			for k, p := range serial {
 				if p.A >= p.B {
@@ -118,7 +117,7 @@ func TestPropagationScanCountMatchesReferences(t *testing.T) {
 				}
 			}
 			for _, w := range []int{1, 2, 3, 7, c.NumEntities + 1} {
-				got := ComparisonPropagation{Workers: w}.Apply(c)
+				got := blockproc.ComparisonPropagation{Workers: w}.Apply(c)
 				if !reflect.DeepEqual(got, serial) {
 					t.Fatalf("workers=%d: output differs from serial (%d vs %d pairs)", w, len(got), len(serial))
 				}
@@ -129,7 +128,7 @@ func TestPropagationScanCountMatchesReferences(t *testing.T) {
 
 func TestPropagationRepeatedBlockCounts(t *testing.T) {
 	c := propagationInputs()["repeated-block"]
-	if got, want := DistinctComparisons(c), int64(12*11/2); got != want || c.Comparisons() != 50*want {
+	if got, want := len(blockproc.ComparisonPropagation{}.Apply(c)), 12*11/2; got != want || c.Comparisons() != int64(50*want) {
 		t.Fatalf("distinct = %d of %d comparisons, want %d of %d", got, c.Comparisons(), want, 50*want)
 	}
 }
@@ -144,7 +143,7 @@ func TestPropagationAllocsConstant(t *testing.T) {
 		c := &block.Collection{Task: entity.Dirty, NumEntities: n, Split: n,
 			Blocks: []block.Block{{Key: "all", E1: ids(0, n)}, {Key: "again", E1: ids(0, n/2)}}}
 		var out []entity.Pair
-		a := testing.AllocsPerRun(3, func() { out = ComparisonPropagation{Workers: 1}.Apply(c) })
+		a := testing.AllocsPerRun(3, func() { out = blockproc.ComparisonPropagation{Workers: 1}.Apply(c) })
 		return a, out
 	}
 	small, _ := allocs(125)
@@ -168,8 +167,40 @@ func TestPropagationCanceled(t *testing.T) {
 	o := obs.New(ctx)
 	c := propagationInputs()["dirty"]
 	for _, w := range []int{0, 3} {
-		if got := (ComparisonPropagation{Workers: w, Obs: o}).Apply(c); got != nil {
+		if got := (blockproc.ComparisonPropagation{Workers: w, Obs: o}).Apply(c); got != nil {
 			t.Errorf("workers=%d: Apply returned %d pairs under a canceled context", w, len(got))
 		}
 	}
+}
+
+func TestComparisonPropagationMatchesDirect(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 25; trial++ {
+		c := blockproc.RandomDirty(rng, 30, 20)
+		fast := blockproc.ComparisonPropagation{}.Apply(c)
+		direct := oracle.PropagateDirect(c)
+		if !samePairs(fast, direct) {
+			t.Fatalf("trial %d: Apply (%d pairs) and direct (%d pairs) disagree",
+				trial, len(fast), len(direct))
+		}
+	}
+}
+
+func samePairs(a, b []entity.Pair) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	as := append([]entity.Pair(nil), a...)
+	bs := append([]entity.Pair(nil), b...)
+	less := func(s []entity.Pair) func(i, j int) bool {
+		return func(i, j int) bool {
+			if s[i].A != s[j].A {
+				return s[i].A < s[j].A
+			}
+			return s[i].B < s[j].B
+		}
+	}
+	sort.Slice(as, less(as))
+	sort.Slice(bs, less(bs))
+	return reflect.DeepEqual(as, bs)
 }

@@ -1,7 +1,7 @@
 // Package blockproc implements the block-processing methods that surround
 // meta-blocking in the paper: Block Purging and Block Filtering (pre-
-// processing, §2 and §4.1), Comparison Propagation (LeCoBI-based redundant
-// comparison removal, §2), the Iterative Blocking baseline (§6.4), and
+// processing, §2 and §4.1), Comparison Propagation (redundant comparison
+// removal, §2), the Iterative Blocking baseline (§6.4), and
 // Graph-free Meta-blocking (Block Filtering + Comparison Propagation,
 // §4.1 / §6.4).
 package blockproc

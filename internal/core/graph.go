@@ -98,9 +98,6 @@ func (t *obsTick) step() bool {
 
 func (t *obsTick) flush() { t.m.Add(t.n & obs.StrideMask) }
 
-// SetMeter installs the progress meter ticked by the traversal loops.
-func (g *Graph) SetMeter(m *obs.Meter) { g.meter = m }
-
 // NewGraph builds the implicit blocking graph for the given (redundancy-
 // positive) block collection and weighting scheme on a single core.
 // Construction builds the Entity Index and, for EJS, one extra pass to
@@ -252,16 +249,6 @@ func (g *Graph) computeDegrees(workers int) {
 		}
 		tick.flush()
 	})
-}
-
-// weightOf computes the edge weight between i and a neighbor j whose
-// accumulator has just been filled by scanNeighborhood(i).
-func (g *Graph) weightOf(i, j entity.ID) float64 {
-	var di, dj int32
-	if g.degrees != nil {
-		di, dj = g.degrees[i], g.degrees[j]
-	}
-	return g.ctx.weight(g.sc.cells[j].common, g.index.NumBlocks(i), g.index.NumBlocks(j), di, dj)
 }
 
 // fillWeights computes the weights of i's freshly scanned neighbors into

@@ -61,14 +61,6 @@ func (h *edgeHeap) offer(w float64, i, j entity.ID) {
 	h.down(0)
 }
 
-// min returns the smallest retained weight, or 0 when empty.
-func (h *edgeHeap) min() float64 {
-	if len(h.items) == 0 {
-		return 0
-	}
-	return h.items[0].w
-}
-
 func (h *edgeHeap) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2

@@ -59,7 +59,10 @@ func Run(c *block.Collection, cfg Config) Result {
 }
 
 // RunTo is Run handing the retained comparisons to sink in ordered chunks
-// (see Graph.PruneTo) instead of returning them: Result.Pairs is nil, and
+// instead of returning them. The chunks concatenate to Run's Pairs and
+// never split the pairs of one A; sink runs on the workers, the commits it
+// returns on the caller's goroutine in chunk order, and a chunk stays valid
+// until its commit returns. Result.Pairs is nil, and
 // PruneTime and OTime run to the last commit, so they include the sink's
 // work. It returns the first commit error, a panic in sink as
 // *par.PanicError, or Obs.Err() when the run was canceled.

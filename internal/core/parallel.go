@@ -116,9 +116,8 @@ func (g *Graph) forEachEdgeRange(lo, hi int, fn func(i, j entity.ID, w float64))
 
 // meanOf is the exact neighborhood mean (see internal/floatsum), computed
 // with this graph's persistent accumulator so the partials buffer is
-// reused across every node of a traversal — floatsum.Mean's stack buffer
-// escapes once per call. Identical Add sequence and rounding, so the
-// threshold is bit-identical.
+// reused across every node of a traversal instead of escaping once per
+// call.
 func (g *Graph) meanOf(xs []float64) float64 {
 	switch len(xs) {
 	case 0:
@@ -226,21 +225,6 @@ func (g *Graph) PruneParallel(a Algorithm, workers int) []entity.Pair {
 	return g.prune(a, workers).collect()
 }
 
-// PruneTo is PruneParallel handing the retained comparisons to sink in
-// ordered chunks instead of returning them: the chunks concatenate to
-// PruneParallel's slice, and a chunk never splits the pairs of one A, so
-// CNP/WNP's redundant copies of a pair share a chunk. sink runs on the
-// workers, the commits it returns on the caller's goroutine in chunk order
-// (par.Ordered); a chunk stays valid until its commit returns. Node-centric
-// chunks are walked out of the pass's buckets, so the whole answer is never
-// copied into one slice. PruneTo returns the first commit error, a panic in
-// sink as *par.PanicError, or the graph's Obs.Err() when the run was
-// canceled before the first chunk.
-func (g *Graph) PruneTo(a Algorithm, workers int, sink func(chunk []entity.Pair) (commit func() error)) error {
-	_, err := g.prune(a, workers).emit(g.obs, sink)
-	return err
-}
-
 // answer is a pruning result before it leaves the graph: CEP's and WEP's
 // canonically sorted slice, or the node-centric pass's resolved buckets.
 type answer struct {
@@ -291,10 +275,16 @@ const emitChunk = 1 << 14
 // calls.
 var emitPairs arena.Pool[entity.Pair]
 
-// emit hands the answer to sink in ordered chunks (see PruneTo) and returns
-// the number of pairs it handed over. A sorted answer is cut into subslices
-// of itself; a bucket into views of whole A groups that the workers walk in
-// ascending order into pooled buffers. Empty chunks are not handed over.
+// emit hands the answer to sink in ordered chunks and returns the number of
+// pairs it handed over. The chunks concatenate to collect's slice, and a
+// chunk never splits the pairs of one A, so CNP/WNP's redundant copies of a
+// pair share a chunk. A sorted answer is cut into subslices of itself; a
+// bucket into views of whole A groups that the workers walk in ascending
+// order into pooled buffers. Empty chunks are not handed over. sink runs on
+// the workers, the commits it returns on the caller's goroutine in chunk
+// order (par.Ordered); a chunk stays valid until its commit returns. emit
+// returns the first commit error, a panic in sink as *par.PanicError, or
+// o.Err() when the run was canceled before the first chunk.
 func (ans answer) emit(o *obs.Observer, sink func([]entity.Pair) func() error) (int, error) {
 	if o.Canceled() {
 		return 0, o.Err()

@@ -118,8 +118,8 @@ func TestRunWorkersWithOriginalWeighting(t *testing.T) {
 	}
 }
 
-// TestPruneToChunksConcatenate: PruneTo's chunks concatenate to
-// PruneParallel's slice for every algorithm and worker count, none splits
+// TestPruneToChunksConcatenate: the chunks a prune pass emits to a sink
+// concatenate to PruneParallel's slice for every algorithm and worker count, none splits
 // the pairs of one A, and an answer of several times emitChunk — WEP's
 // sorted slice, a node-centric pass's one bucket — is cut into chunks of
 // about that size.
@@ -135,7 +135,7 @@ func TestPruneToChunksConcatenate(t *testing.T) {
 			want := g.PruneParallel(alg, workers)
 			var got []entity.Pair
 			chunks := 0
-			err := g.PruneTo(alg, workers, func(chunk []entity.Pair) func() error {
+			_, err := g.prune(alg, workers).emit(g.obs, func(chunk []entity.Pair) func() error {
 				return func() error {
 					if len(chunk) == 0 || len(got) > 0 && got[len(got)-1].A == chunk[0].A {
 						t.Errorf("%v workers=%d: chunk %d is empty or continues the previous chunk's A", alg, workers, chunks)

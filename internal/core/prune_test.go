@@ -347,8 +347,8 @@ func TestEdgeHeap(t *testing.T) {
 	if !reflect.DeepEqual(ws, []float64{4, 5, 6}) {
 		t.Fatalf("heap kept %v, want top-3 {4,5,6}", ws)
 	}
-	if h.min() != 4 {
-		t.Fatalf("min = %v, want 4", h.min())
+	if h.items[0].w != 4 {
+		t.Fatalf("heap root = %v, want the smallest retained weight 4", h.items[0].w)
 	}
 	h.reset()
 	if h.len() != 0 {

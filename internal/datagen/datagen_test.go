@@ -3,6 +3,7 @@ package datagen
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -159,6 +160,14 @@ func TestPresetsShape(t *testing.T) {
 func TestScaled(t *testing.T) {
 	if scaled(100, 0.5) != 50 || scaled(100, 0) != 100 || scaled(1, 0.001) != 1 {
 		t.Fatal("scaled() broken")
+	}
+	for _, s := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+		if ValidScale(s) {
+			t.Errorf("ValidScale(%v) = true", s)
+		}
+	}
+	if !ValidScale(0.001) || !ValidScale(1) {
+		t.Error("ValidScale rejects a positive finite scale")
 	}
 }
 

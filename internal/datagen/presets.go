@@ -14,6 +14,8 @@ package datagen
 // Scale multiplies the collection sizes (ground truth scales along);
 // scale 1.0 keeps the default laptop-friendly sizes.
 
+import "math"
+
 // D1C returns the DBLP–Scholar-like Clean-Clean dataset.
 func D1C(scale float64) Dataset {
 	return Generate(Config{
@@ -107,6 +109,11 @@ func DirtyDatasets(scale float64) []Dataset {
 func AllDatasets(scale float64) []Dataset {
 	return append(CleanDatasets(scale), DirtyDatasets(scale)...)
 }
+
+// ValidScale reports whether scale is a multiplier the presets honour: a
+// finite number above 0. The presets run any other scale at ×1 or at one
+// profile per source, so command lines reject it first.
+func ValidScale(scale float64) bool { return scale > 0 && !math.IsInf(scale, 1) }
 
 func scaled(n int, scale float64) int {
 	if scale <= 0 {

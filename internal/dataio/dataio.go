@@ -150,18 +150,6 @@ func ParseProfileJSON(line []byte) (entity.Profile, error) {
 	return p, nil
 }
 
-// MarshalProfileJSON encodes a profile as one JSONL record — the shape
-// ParseProfileJSON reads. Attributes with the same name are grouped, so
-// Parse(Marshal(p)) yields p with attributes grouped by sorted name; two
-// marshal/parse round trips are idempotent.
-func MarshalProfileJSON(p entity.Profile) ([]byte, error) {
-	attrs := make(map[string][]string, len(p.Attributes))
-	for _, a := range p.Attributes {
-		attrs[a.Name] = append(attrs[a.Name], a.Value)
-	}
-	return json.Marshal(jsonlProfile{ID: int(p.ID), Source: 1, Attributes: attrs})
-}
-
 // ReadProfilesJSONL parses one JSON object per line.
 func ReadProfilesJSONL(r io.Reader) (*entity.Collection, error) {
 	profiles := make(map[int]*rawProfile)
@@ -207,27 +195,6 @@ func ReadProfilesJSONL(r io.Reader) (*entity.Collection, error) {
 		return nil, err
 	}
 	return assemble(profiles)
-}
-
-// WriteProfilesJSONL writes a collection as one JSON object per line.
-func WriteProfilesJSONL(w io.Writer, c *entity.Collection) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range c.Profiles {
-		p := &c.Profiles[i]
-		source := 1
-		if c.Task == entity.CleanClean && !c.InFirst(p.ID) {
-			source = 2
-		}
-		attrs := make(map[string][]string)
-		for _, a := range p.Attributes {
-			attrs[a.Name] = append(attrs[a.Name], a.Value)
-		}
-		if err := enc.Encode(jsonlProfile{ID: int(p.ID), Source: source, Attributes: attrs}); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // ReadGroundTruthCSV parses id1,id2 lines.

@@ -1,9 +1,12 @@
 package dataio
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/csv"
+	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -51,10 +54,32 @@ func TestCSVCleanCleanRoundTrip(t *testing.T) {
 	}
 }
 
+// writeProfilesJSONL writes a collection as one JSON object per line, the
+// input of the JSONL reader's round trip.
+func writeProfilesJSONL(w io.Writer, c *entity.Collection) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for i := range c.Profiles {
+		p := &c.Profiles[i]
+		source := 1
+		if c.Task == entity.CleanClean && !c.InFirst(p.ID) {
+			source = 2
+		}
+		attrs := make(map[string][]string)
+		for _, a := range p.Attributes {
+			attrs[a.Name] = append(attrs[a.Name], a.Value)
+		}
+		if err := enc.Encode(jsonlProfile{ID: int(p.ID), Source: source, Attributes: attrs}); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
 func TestJSONLRoundTrip(t *testing.T) {
 	want := paperexample.Collection()
 	var buf bytes.Buffer
-	if err := WriteProfilesJSONL(&buf, want); err != nil {
+	if err := writeProfilesJSONL(&buf, want); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadProfilesJSONL(&buf)

@@ -33,40 +33,3 @@ func TestParseProfileJSONRejectsGarbage(t *testing.T) {
 		t.Fatal("garbage accepted")
 	}
 }
-
-func TestMarshalParseProfileRoundTrip(t *testing.T) {
-	var p entity.Profile
-	p.Add("name", "Jack Miller")
-	p.Add("job", "car seller")
-	p.Add("name", "J. Miller")
-
-	raw, err := MarshalProfileJSON(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseProfileJSON(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Round-tripping groups attributes by sorted name; a second round trip
-	// is the identity.
-	want := []entity.Attribute{
-		{Name: "job", Value: "car seller"},
-		{Name: "name", Value: "Jack Miller"},
-		{Name: "name", Value: "J. Miller"},
-	}
-	if !reflect.DeepEqual(got.Attributes, want) {
-		t.Fatalf("first round trip = %v, want %v", got.Attributes, want)
-	}
-	raw2, err := MarshalProfileJSON(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := ParseProfileJSON(raw2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again.Attributes, got.Attributes) {
-		t.Fatal("second round trip is not the identity")
-	}
-}

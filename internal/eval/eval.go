@@ -1,6 +1,7 @@
-// Package eval computes the paper's effectiveness and efficiency measures
-// (§3): Pairs Completeness (recall), Pairs Quality (precision), Reduction
-// Ratio, Overhead Time and Resolution Time.
+// Package eval computes the paper's effectiveness measures (§3): Pairs
+// Completeness (recall), Pairs Quality (precision) and Reduction Ratio. Its
+// Report also carries the efficiency measures, Overhead Time and
+// Resolution Time, which the caller times.
 package eval
 
 import (
@@ -164,23 +165,6 @@ func (a *Accumulator) Report(baseline int64) Report {
 		Duplicates:  a.gt.Size(),
 		Baseline:    baseline,
 	}
-}
-
-// Similariter abstracts the matcher used to estimate Resolution Time.
-type Similariter interface {
-	Similarity(a, b entity.ID) float64
-}
-
-// ResolutionTime measures the wall-clock cost of applying the matcher to
-// every retained comparison (RTime = OTime + matching time, §3).
-func ResolutionTime(m Similariter, pairs []entity.Pair, overhead time.Duration) time.Duration {
-	start := time.Now()
-	var sink float64
-	for _, p := range pairs {
-		sink += m.Similarity(p.A, p.B)
-	}
-	_ = sink
-	return overhead + time.Since(start)
 }
 
 // Mean averages a slice of float64 measures (used when averaging reports

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"metablocking/internal/block"
 	"metablocking/internal/blocking"
 	"metablocking/internal/entity"
 	"metablocking/internal/paperexample"
@@ -106,19 +105,6 @@ func TestEvaluatePairsEntityFlags(t *testing.T) {
 	}
 }
 
-type constSim float64
-
-func (s constSim) Similarity(_, _ entity.ID) float64 { return float64(s) }
-
-func TestResolutionTimeAddsOverhead(t *testing.T) {
-	pairs := []entity.Pair{{A: 0, B: 1}, {A: 1, B: 2}}
-	overhead := 5 * time.Millisecond
-	rt := ResolutionTime(constSim(0.5), pairs, overhead)
-	if rt < overhead {
-		t.Fatalf("RTime %v below overhead %v", rt, overhead)
-	}
-}
-
 func TestMeans(t *testing.T) {
 	if Mean(nil) != 0 || MeanInt64(nil) != 0 || MeanDuration(nil) != 0 {
 		t.Fatal("empty means must be zero")
@@ -131,54 +117,6 @@ func TestMeans(t *testing.T) {
 	}
 	if MeanDuration([]time.Duration{time.Second, 3 * time.Second}) != 2*time.Second {
 		t.Fatal("MeanDuration broken")
-	}
-}
-
-func TestEvaluateMatches(t *testing.T) {
-	gt := entity.NewGroundTruth([]entity.Pair{{A: 0, B: 1}, {A: 2, B: 3}, {A: 4, B: 5}})
-	matches := []entity.Pair{
-		entity.MakePair(0, 1), // TP
-		entity.MakePair(1, 0), // duplicate of the TP: ignored
-		entity.MakePair(2, 3), // TP
-		entity.MakePair(0, 5), // FP
-	}
-	q := EvaluateMatches(matches, gt)
-	if q.TruePositives != 2 || q.FalsePositives != 1 || q.FalseNegatives != 1 {
-		t.Fatalf("quality = %+v", q)
-	}
-	if q.Precision() != 2.0/3.0 {
-		t.Errorf("precision = %v", q.Precision())
-	}
-	if q.Recall() != 2.0/3.0 {
-		t.Errorf("recall = %v", q.Recall())
-	}
-	if q.F1() != 2.0/3.0 {
-		t.Errorf("F1 = %v", q.F1())
-	}
-	var zero PairwiseQuality
-	if zero.Precision() != 0 || zero.Recall() != 0 || zero.F1() != 0 {
-		t.Error("zero-value quality must not divide by zero")
-	}
-}
-
-func TestComputeBlockStats(t *testing.T) {
-	c := blocking.TokenBlocking{}.Build(paperexample.Collection())
-	s := ComputeBlockStats(c)
-	if s.Blocks != 8 || s.Comparisons != 13 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if s.MinSize != 2 || s.MaxSize != 4 || s.MedianSize != 2 {
-		t.Fatalf("size distribution = %+v", s)
-	}
-	// The single largest block (car, 6 comparisons) is the top 1%.
-	if s.TopShare != 6.0/13.0 {
-		t.Fatalf("TopShare = %v, want 6/13", s.TopShare)
-	}
-	if s.String() == "" {
-		t.Fatal("empty String()")
-	}
-	if empty := ComputeBlockStats(&block.Collection{}); empty.Blocks != 0 {
-		t.Fatal("empty stats wrong")
 	}
 }
 

@@ -111,31 +111,3 @@ func (a *Acc) Mean() float64 {
 	}
 	return a.Sum() / float64(a.n)
 }
-
-// Mean returns the correctly rounded exact mean of xs, independent of the
-// order of xs. It allocates nothing for the typical neighborhood sizes
-// (the partials buffer lives on the stack up to 32 entries).
-func Mean(xs []float64) float64 {
-	switch len(xs) {
-	case 0:
-		return 0
-	case 1:
-		return xs[0]
-	}
-	var buf [32]float64
-	a := Acc{partials: buf[:0]}
-	for _, x := range xs {
-		a.Add(x)
-	}
-	return a.Sum() / float64(len(xs))
-}
-
-// Sum returns the correctly rounded exact sum of xs.
-func Sum(xs []float64) float64 {
-	var buf [32]float64
-	a := Acc{partials: buf[:0]}
-	for _, x := range xs {
-		a.Add(x)
-	}
-	return a.Sum()
-}

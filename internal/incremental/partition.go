@@ -272,41 +272,6 @@ func MergeSnapshots(cfg Config, segs []*PartitionSnapshot) *Snapshot {
 	return snap
 }
 
-// PartitionSnapshotsOf splits a canonical snapshot into per-shard
-// segments — the inverse of MergeSnapshots, used to persist or serve an
-// existing artifact at a different shard count. The segments share the
-// snapshot's profile and member slices; treat both as immutable.
-func PartitionSnapshotsOf(s *Snapshot, shards int) ([]*PartitionSnapshot, error) {
-	if shards <= 0 {
-		return nil, fmt.Errorf("incremental: %d shards", shards)
-	}
-	if len(s.BlocksOf) != len(s.Profiles) {
-		return nil, fmt.Errorf("incremental: snapshot has %d profiles but %d block-key lists",
-			len(s.Profiles), len(s.BlocksOf))
-	}
-	segs := make([]*PartitionSnapshot, shards)
-	for i := range segs {
-		segs[i] = &PartitionSnapshot{
-			Shard:    i,
-			Shards:   shards,
-			Blocks:   make(map[string][]entity.ID),
-			BlocksOf: make([][]string, 0),
-		}
-	}
-	for id, p := range s.Profiles {
-		seg := segs[ShardOf(entity.ID(id), shards)]
-		seg.Profiles = append(seg.Profiles, p)
-		seg.BlocksOf = append(seg.BlocksOf, s.BlocksOf[id])
-	}
-	for key, members := range s.Blocks {
-		for _, id := range members {
-			seg := segs[ShardOf(id, shards)]
-			seg.Blocks[key] = append(seg.Blocks[key], id)
-		}
-	}
-	return segs, nil
-}
-
 // Merger holds the coordinator-side scratch of the cross-shard merge
 // kernels, reused across arrivals. The zero value is ready to use; not
 // safe for concurrent use.

@@ -101,75 +101,3 @@ func TestClusterDeterministicOrder(t *testing.T) {
 		t.Fatal("cluster output depends on match order")
 	}
 }
-
-func TestCosineMatcher(t *testing.T) {
-	mk := func(value string) entity.Profile {
-		var p entity.Profile
-		p.Add("v", value)
-		return p
-	}
-	c := entity.NewDirty([]entity.Profile{
-		mk("a a a b"), // freq a:3 b:1
-		mk("a b"),     // freq a:1 b:1
-		mk("x y"),
-		mk(""),
-	})
-	m := NewCosineMatcher(c, 0.5)
-	// cos = (3+1) / (sqrt(10)*sqrt(2)) = 4/4.472 ≈ 0.894
-	if got := m.Similarity(0, 1); got < 0.89 || got > 0.90 {
-		t.Errorf("cos(0,1) = %v, want ≈0.894", got)
-	}
-	if m.Similarity(0, 2) != 0 || m.Similarity(0, 3) != 0 {
-		t.Error("disjoint or empty profiles must score 0")
-	}
-	if m.Similarity(1, 1) < 0.999 {
-		t.Error("self-similarity must be 1")
-	}
-	if !m.Match(0, 1) || m.Match(0, 2) {
-		t.Error("threshold misapplied")
-	}
-}
-
-func TestOverlapMatcher(t *testing.T) {
-	mk := func(value string) entity.Profile {
-		var p entity.Profile
-		p.Add("v", value)
-		return p
-	}
-	c := entity.NewDirty([]entity.Profile{
-		mk("a b"),                 // terse record
-		mk("a b c d e f g h i j"), // verbose record containing it
-		mk("z"),
-	})
-	m := NewOverlapMatcher(c, 0.9)
-	// Overlap = 2 / min(2, 10) = 1.0 even though Jaccard is only 0.2.
-	if got := m.Similarity(0, 1); got != 1.0 {
-		t.Errorf("overlap(0,1) = %v, want 1.0", got)
-	}
-	jm := NewJaccardMatcher(c, 0)
-	if jm.Similarity(0, 1) >= 0.5 {
-		t.Error("test premise broken: Jaccard should be low here")
-	}
-	if m.Similarity(0, 2) != 0 {
-		t.Error("disjoint overlap must be 0")
-	}
-	if !m.Match(0, 1) {
-		t.Error("threshold misapplied")
-	}
-}
-
-func TestMatchersAreSymmetric(t *testing.T) {
-	c := paperexample.Collection()
-	cos := NewCosineMatcher(c, 0)
-	ov := NewOverlapMatcher(c, 0)
-	for a := entity.ID(0); int(a) < c.Size(); a++ {
-		for b := a + 1; int(b) < c.Size(); b++ {
-			if cos.Similarity(a, b) != cos.Similarity(b, a) {
-				t.Fatalf("cosine asymmetric at (%d,%d)", a, b)
-			}
-			if ov.Similarity(a, b) != ov.Similarity(b, a) {
-				t.Fatalf("overlap asymmetric at (%d,%d)", a, b)
-			}
-		}
-	}
-}

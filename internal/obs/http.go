@@ -43,9 +43,6 @@ func (r *statusRecorder) Flush() {
 	}
 }
 
-// Unwrap exposes the underlying writer to http.ResponseController.
-func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
-
 // HTTPMetrics wraps a handler with per-endpoint instrumentation under the
 // "http.<name>." counter prefix and brackets each request in a span (the
 // same start/end hooks pipeline stages use, when o carries any). A nil

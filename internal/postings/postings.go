@@ -68,9 +68,6 @@ func (b *Builder) AppendTo(dst []int32) []int32 {
 	return AppendDecoded(dst, b.enc, int(b.n))
 }
 
-// SizeBytes returns the encoded size in bytes.
-func (b *Builder) SizeBytes() int { return len(b.enc) }
-
 // Bytes returns the raw delta+varint encoding of the list — the bytes a
 // disk segment stores verbatim. The slice aliases the builder; callers
 // that outlive the builder must copy.

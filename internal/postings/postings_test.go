@@ -170,17 +170,3 @@ func TestIntersectionsRandom(t *testing.T) {
 		}
 	}
 }
-
-func TestPackedFormAndBuilderSize(t *testing.T) {
-	sparse := []int32{3, 900, 40000}
-	var b Builder
-	if b.SizeBytes() != 0 {
-		t.Errorf("empty Builder SizeBytes = %d, want 0", b.SizeBytes())
-	}
-	for _, id := range sparse {
-		b.Append(id)
-	}
-	if got := b.SizeBytes(); got <= 0 || got >= 4*len(sparse) {
-		t.Errorf("Builder SizeBytes = %d, want in (0, %d)", got, 4*len(sparse))
-	}
-}

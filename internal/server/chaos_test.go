@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"metablocking/internal/core"
-	"metablocking/internal/dataio"
 	"metablocking/internal/fault"
 	"metablocking/internal/incremental"
 	"metablocking/internal/par"
@@ -106,7 +105,7 @@ func TestInjectedPanicHTTP500(t *testing.T) {
 	profiles := testProfiles(t, 3)
 	var statuses []int
 	for _, p := range profiles {
-		raw, err := dataio.MarshalProfileJSON(p)
+		raw, err := marshalProfile(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +280,7 @@ func TestCorruptReloadNeverTouchesLiveIndex(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			raw, err := dataio.MarshalProfileJSON(profiles[i])
+			raw, err := marshalProfile(profiles[i])
 			if err != nil {
 				errc <- err
 				return
@@ -419,7 +418,7 @@ func TestRequestTimeout(t *testing.T) {
 
 	profiles := testProfiles(t, 2)
 	post := func(i int) int {
-		raw, err := dataio.MarshalProfileJSON(profiles[i])
+		raw, err := marshalProfile(profiles[i])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -182,8 +182,8 @@ type Config struct {
 	// Default 100ms.
 	WALSyncInterval time.Duration
 
-	// metrics receives the server's counters (WithMetrics); nil creates
-	// a private registry, exposed at /metrics either way.
+	// metrics receives the server's counters: a private registry that
+	// withDefaults creates, exposed at /metrics.
 	metrics *obs.Metrics
 	// fault is consulted at the server's named fault sites (WithFault).
 	// Nil is a no-op: zero cost on the hot path.
@@ -193,14 +193,9 @@ type Config struct {
 }
 
 // Option adjusts a server at construction time — the only way in for
-// cross-cutting dependencies (metrics, fault injection) and test-only
-// hooks (clocks), none of which belong in the public struct.
+// cross-cutting dependencies (fault injection) and test-only hooks
+// (clocks), none of which belong in the public struct.
 type Option func(*Config)
-
-// WithMetrics directs the server's counters and gauges into m.
-func WithMetrics(m *obs.Metrics) Option {
-	return func(c *Config) { c.metrics = m }
-}
 
 // WithFault installs a fault injector, consulted at the server's named
 // sites (FaultResolve, and the per-shard shard.GatherSite /

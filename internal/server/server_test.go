@@ -34,7 +34,7 @@ func testProfiles(t testing.TB, n int) []entity.Profile {
 	}
 	out := make([]entity.Profile, n)
 	for i := 0; i < n; i++ {
-		raw, err := dataio.MarshalProfileJSON(ds.Collection.Profiles[i])
+		raw, err := marshalProfile(ds.Collection.Profiles[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,8 +99,22 @@ func resolveHTTP(ts *httptest.Server, clients int, profiles []entity.Profile) ([
 	return out, firstErr
 }
 
+// marshalProfile encodes a profile as one JSON record of the shape
+// dataio.ParseProfileJSON reads, attributes grouped by name.
+func marshalProfile(p entity.Profile) ([]byte, error) {
+	attrs := make(map[string][]string, len(p.Attributes))
+	for _, a := range p.Attributes {
+		attrs[a.Name] = append(attrs[a.Name], a.Value)
+	}
+	return json.Marshal(struct {
+		ID         int                 `json:"id"`
+		Source     int                 `json:"source"`
+		Attributes map[string][]string `json:"attributes"`
+	}{int(p.ID), 1, attrs})
+}
+
 func postResolve(ts *httptest.Server, p entity.Profile) (resolved, error) {
-	body, err := dataio.MarshalProfileJSON(p)
+	body, err := marshalProfile(p)
 	if err != nil {
 		return resolved{}, err
 	}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"metablocking/internal/core"
-	"metablocking/internal/dataio"
 	"metablocking/internal/fault"
 	"metablocking/internal/incremental"
 	"metablocking/internal/shard"
@@ -128,7 +127,7 @@ func TestShardedFaultEnvelopes(t *testing.T) {
 
 	post := func(i int) (int, ErrorBody) {
 		t.Helper()
-		raw, err := dataio.MarshalProfileJSON(profiles[i])
+		raw, err := marshalProfile(profiles[i])
 		if err != nil {
 			t.Fatal(err)
 		}

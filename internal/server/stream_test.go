@@ -16,7 +16,6 @@ import (
 
 	"metablocking/internal/budget"
 	"metablocking/internal/core"
-	"metablocking/internal/dataio"
 	"metablocking/internal/entity"
 	"metablocking/internal/fault"
 	"metablocking/internal/incremental"
@@ -26,7 +25,7 @@ import (
 // and raw query string, returning the undecoded response.
 func postStream(t *testing.T, ts *httptest.Server, p entity.Profile, accept, query string) *http.Response {
 	t.Helper()
-	raw, err := dataio.MarshalProfileJSON(p)
+	raw, err := marshalProfile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +444,7 @@ func TestStreamTierAdmission(t *testing.T) {
 	// (Raw reads only: t.Fatal is not legal off the test goroutine.)
 	pinned := make(chan int, 1)
 	go func() {
-		raw, err := dataio.MarshalProfileJSON(profiles[8])
+		raw, err := marshalProfile(profiles[8])
 		if err != nil {
 			pinned <- -1
 			return

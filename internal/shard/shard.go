@@ -858,9 +858,6 @@ func (g *Group) downCount() int {
 	return n
 }
 
-// Down reports which shards are currently marked down.
-func (g *Group) Down() []bool { return append([]bool(nil), g.down...) }
-
 // Stat is one shard's health and size snapshot, served by
 // GET /v1/admin/status.
 type Stat struct {
@@ -982,21 +979,6 @@ func FromSnapshot(s *incremental.Snapshot, cfg Config) (*Group, error) {
 	}
 	g.start()
 	return g, nil
-}
-
-// FromPartitionSnapshots rebuilds a group from per-shard segments (the
-// sharded artifact), via the canonical merge so the same validation
-// applies regardless of on-disk layout.
-func FromPartitionSnapshots(cfg incremental.Config, segs []*incremental.PartitionSnapshot, gcfg Config) (*Group, error) {
-	for i, seg := range segs {
-		if seg == nil {
-			return nil, fmt.Errorf("shard: nil segment %d", i)
-		}
-		if seg.Shard != i || seg.Shards != len(segs) {
-			return nil, fmt.Errorf("shard: segment %d labeled shard %d of %d", i, seg.Shard, seg.Shards)
-		}
-	}
-	return FromSnapshot(incremental.MergeSnapshots(cfg, segs), gcfg)
 }
 
 // Close implements incremental.Index: stops every actor, waits for them

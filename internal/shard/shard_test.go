@@ -168,8 +168,8 @@ func TestShardDownAndPartial(t *testing.T) {
 			t.Fatalf("failed resolve consumed an ID: size %d", g.Size())
 		}
 	}
-	if down := g.Down(); !down[1] || down[0] {
-		t.Fatalf("down after 3 consecutive failures = %v, want shard 1 only", down)
+	if st := g.Stats(); !st[1].Down || st[0].Down {
+		t.Fatalf("down after 3 consecutive failures = %v, %v, want shard 1 only", st[0].Down, st[1].Down)
 	}
 	// id 2 homes on shard 0: partial gather, successful commit.
 	res, err := g.Resolve(profiles[2])
@@ -269,7 +269,7 @@ func TestFromSnapshotRoundTrip(t *testing.T) {
 
 	// Segment round trip: per-shard segments → group at the same count.
 	segs := g3.PartitionSnapshots()
-	g3b, err := FromPartitionSnapshots(snap.Config, segs, Config{Shards: 5})
+	g3b, err := FromSnapshot(incremental.MergeSnapshots(snap.Config, segs), Config{Shards: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func TestContainerFraming(t *testing.T) {
 	if !bytes.Equal(raw[len(raw)-4:], footMagic[:]) {
 		t.Fatalf("file does not end with footer magic: % x", raw[len(raw)-4:])
 	}
-	got, err := LoadResolverFile(path)
+	got, err := LoadAnyResolverFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestBitFlipAlwaysDetected(t *testing.T) {
 		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if snap, err := LoadResolverFile(path); err == nil {
+		if snap, err := LoadAnyResolverFile(path); err == nil {
 			t.Fatalf("bit flip at offset %d accepted (snapshot %v)", off, snap != nil)
 		} else {
 			classified(t, err, "bit flip")
@@ -93,7 +93,7 @@ func TestTruncationAtEveryFooterBoundary(t *testing.T) {
 		if err := os.WriteFile(path, raw[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := LoadResolverFile(path)
+		_, err := LoadAnyResolverFile(path)
 		classified(t, err, "truncation")
 	}
 }
@@ -107,7 +107,7 @@ func TestVersionMismatchClassified(t *testing.T) {
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadResolverFile(path); !errors.Is(err, ErrVersionMismatch) {
+	if _, err := LoadAnyResolverFile(path); !errors.Is(err, ErrVersionMismatch) {
 		t.Fatalf("container version bump: %v, want ErrVersionMismatch", err)
 	}
 
@@ -119,7 +119,7 @@ func TestVersionMismatchClassified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadResolverFile(future); !errors.Is(err, ErrVersionMismatch) {
+	if _, err := LoadAnyResolverFile(future); !errors.Is(err, ErrVersionMismatch) {
 		t.Fatalf("future artifact version: %v, want ErrVersionMismatch", err)
 	}
 }
@@ -129,12 +129,12 @@ func TestVersionMismatchClassified(t *testing.T) {
 func TestWrongKindClassified(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pairs-as-resolver.snap")
 	err := saveFileAtomic(path, func(w io.Writer) error {
-		return WritePairs(w, []entity.Pair{{A: 1, B: 2}})
+		return writePairs(w, []entity.Pair{{A: 1, B: 2}})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadResolverFile(path); !errors.Is(err, ErrCorruptArtifact) {
+	if _, err := LoadAnyResolverFile(path); !errors.Is(err, ErrCorruptArtifact) {
 		t.Fatalf("wrong kind: %v, want ErrCorruptArtifact", err)
 	}
 }
@@ -151,10 +151,8 @@ func TestRawGobWithoutContainerClassified(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, load := range []func(string) (*incremental.Snapshot, error){LoadResolverFile, LoadAnyResolverFile} {
-		if _, err := load(path); !errors.Is(err, ErrCorruptArtifact) {
-			t.Fatalf("raw gob: %v, want ErrCorruptArtifact", err)
-		}
+	if _, err := LoadAnyResolverFile(path); !errors.Is(err, ErrCorruptArtifact) {
+		t.Fatalf("raw gob: %v, want ErrCorruptArtifact", err)
 	}
 }
 
@@ -185,7 +183,7 @@ func TestAtomicSaveSurvivesInjectedFaults(t *testing.T) {
 				t.Fatalf("save with %s armed: %v, want injected failure", site, err)
 			}
 			// ...but the final path still holds the previous good artifact.
-			got, err := LoadResolverFile(path)
+			got, err := LoadAnyResolverFile(path)
 			if err != nil {
 				t.Fatalf("previous artifact lost: %v", err)
 			}
@@ -221,10 +219,10 @@ func TestInjectedLoadFault(t *testing.T) {
 	in.Arm(FaultLoadRead, fault.Spec{Times: 1})
 	SetInjector(in)
 	defer SetInjector(nil)
-	if _, err := LoadResolverFile(path); !errors.Is(err, fault.ErrInjected) {
+	if _, err := LoadAnyResolverFile(path); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("armed load = %v, want injected", err)
 	}
-	if _, err := LoadResolverFile(path); err != nil {
+	if _, err := LoadAnyResolverFile(path); err != nil {
 		t.Fatalf("after budget: %v", err)
 	}
 }

@@ -140,17 +140,6 @@ func LoadDiskManifest(path string) (DiskManifest, error) {
 	return m, nil
 }
 
-// IsDiskDir reports whether path looks like an out-of-core resolver
-// directory — a directory holding an s0 shard subdirectory.
-func IsDiskDir(path string) bool {
-	st, err := os.Stat(path)
-	if err != nil || !st.IsDir() {
-		return false
-	}
-	st, err = os.Stat(DiskShardDir(path, 0))
-	return err == nil && st.IsDir()
-}
-
 // localCount is how many of the first size global IDs are homed on shard
 // k of shards — the profile count a shard's manifest must account for.
 func localCount(size, shards, k int) int {

@@ -66,14 +66,14 @@ func TestResolverFileHelpers(t *testing.T) {
 	if err := SaveResolverFile(path, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadResolverFile(path)
+	got, err := LoadAnyResolverFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("file round trip differs")
 	}
-	if _, err := LoadResolverFile(filepath.Join(t.TempDir(), "missing.snap")); !os.IsNotExist(err) {
+	if _, err := LoadAnyResolverFile(filepath.Join(t.TempDir(), "missing.snap")); !os.IsNotExist(err) {
 		t.Fatalf("missing file error = %v, want not-exist", err)
 	}
 }
@@ -90,7 +90,7 @@ func TestResolverVersionMismatchRejected(t *testing.T) {
 
 func TestResolverKindMismatchRejected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePairs(&buf, []entity.Pair{{A: 1, B: 2}}); err != nil {
+	if err := writePairs(&buf, []entity.Pair{{A: 1, B: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadResolver(&buf); err == nil {

@@ -411,12 +411,6 @@ func (s *Segment) FindToken(tok string) (int, bool) {
 	return 0, false
 }
 
-// NumPages returns the page count.
-func (s *Segment) NumPages() int { return len(s.ix.Pages) }
-
-// PageLen returns page i's size in bytes, for cache accounting.
-func (s *Segment) PageLen(i int) int { return int(s.ix.Pages[i].Len) }
-
 // ReadPage reads page i into dst (grown as needed) and verifies its CRC,
 // so a bit flip is caught by the first read that touches the page.
 func (s *Segment) ReadPage(i int, dst []byte) ([]byte, error) {

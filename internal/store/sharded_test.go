@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 
 	"metablocking/internal/core"
 	"metablocking/internal/datagen"
+	"metablocking/internal/entity"
 	"metablocking/internal/fault"
 	"metablocking/internal/incremental"
 )
@@ -25,11 +27,45 @@ func shardedFixture(t *testing.T, shards int) (incremental.Config, []*incrementa
 	ds := datagen.D1D(0.05)
 	r.AddBatch(ds.Collection.Profiles[:80])
 	snap := r.Snapshot()
-	parts, err := incremental.PartitionSnapshotsOf(snap, shards)
+	parts, err := partitionSnapshotsOf(snap, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return snap.Config, parts, snap
+}
+
+// partitionSnapshotsOf splits a canonical snapshot into per-shard
+// segments, the inverse of incremental.MergeSnapshots. The segments share
+// the snapshot's profile and member slices; treat both as immutable.
+func partitionSnapshotsOf(s *incremental.Snapshot, shards int) ([]*incremental.PartitionSnapshot, error) {
+	if shards <= 0 {
+		return nil, fmt.Errorf("incremental: %d shards", shards)
+	}
+	if len(s.BlocksOf) != len(s.Profiles) {
+		return nil, fmt.Errorf("incremental: snapshot has %d profiles but %d block-key lists",
+			len(s.Profiles), len(s.BlocksOf))
+	}
+	segs := make([]*incremental.PartitionSnapshot, shards)
+	for i := range segs {
+		segs[i] = &incremental.PartitionSnapshot{
+			Shard:    i,
+			Shards:   shards,
+			Blocks:   make(map[string][]entity.ID),
+			BlocksOf: make([][]string, 0),
+		}
+	}
+	for id, p := range s.Profiles {
+		seg := segs[incremental.ShardOf(entity.ID(id), shards)]
+		seg.Profiles = append(seg.Profiles, p)
+		seg.BlocksOf = append(seg.BlocksOf, s.BlocksOf[id])
+	}
+	for key, members := range s.Blocks {
+		for _, id := range members {
+			seg := segs[incremental.ShardOf(id, shards)]
+			seg.Blocks[key] = append(seg.Blocks[key], id)
+		}
+	}
+	return segs, nil
 }
 
 // TestShardedRoundTrip: save segments+manifest, load them back, and
@@ -109,7 +145,7 @@ func TestShardedCrashWindows(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.AddBatch(datagen.D1D(0.05).Collection.Profiles[80:120])
-		parts, err := incremental.PartitionSnapshotsOf(r.Snapshot(), 3)
+		parts, err := partitionSnapshotsOf(r.Snapshot(), 3)
 		if err != nil {
 			t.Fatal(err)
 		}

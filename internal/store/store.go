@@ -1,8 +1,8 @@
-// Package store persists the pipeline's intermediate artifacts — entity
-// collections, block collections and retained-comparison lists — in a
-// compact self-describing binary format (encoding/gob with a versioned
-// envelope). Blocking a large collection once and re-running meta-blocking
-// configurations against the saved blocks is the intended workflow.
+// Package store persists the pipeline's artifacts — block collections and
+// resolver snapshots — in a compact self-describing binary format
+// (encoding/gob with a versioned envelope). Blocking a large collection
+// once and re-running meta-blocking configurations against the saved
+// blocks is the intended workflow.
 //
 // The file-level helpers (SaveResolverFile, SaveBlocksFile and their Load
 // counterparts) are crash-safe: artifacts are written to a temp file in
@@ -75,10 +75,8 @@ func inj() *fault.Injector { return injector.Load() }
 
 // format versions, one per artifact kind. Bump on incompatible changes.
 const (
-	collectionVersion = 1
-	blocksVersion     = 1
-	pairsVersion      = 1
-	resolverVersion   = 1
+	blocksVersion   = 1
+	resolverVersion = 1
 )
 
 // Checksummed container framing: header magic + container version, then
@@ -133,36 +131,6 @@ func readArtifact(r io.Reader, kind string, version int, payload any) error {
 	return nil
 }
 
-// storedCollection mirrors entity.Collection for gob.
-type storedCollection struct {
-	Task     int
-	Split    int
-	Profiles []entity.Profile
-}
-
-// WriteCollection persists an entity collection.
-func WriteCollection(w io.Writer, c *entity.Collection) error {
-	return writeArtifact(w, "collection", collectionVersion, storedCollection{
-		Task:     int(c.Task),
-		Split:    c.Split,
-		Profiles: c.Profiles,
-	})
-}
-
-// ReadCollection loads an entity collection.
-func ReadCollection(r io.Reader) (*entity.Collection, error) {
-	var s storedCollection
-	if err := readArtifact(r, "collection", collectionVersion, &s); err != nil {
-		return nil, err
-	}
-	c := &entity.Collection{
-		Task:     entity.Task(s.Task),
-		Split:    s.Split,
-		Profiles: s.Profiles,
-	}
-	return c, nil
-}
-
 // storedBlocks mirrors block.Collection for gob.
 type storedBlocks struct {
 	Task        int
@@ -193,20 +161,6 @@ func ReadBlocks(r io.Reader) (*block.Collection, error) {
 		Split:       s.Split,
 		Blocks:      s.Blocks,
 	}, nil
-}
-
-// WritePairs persists a retained-comparison list.
-func WritePairs(w io.Writer, pairs []entity.Pair) error {
-	return writeArtifact(w, "pairs", pairsVersion, pairs)
-}
-
-// ReadPairs loads a retained-comparison list.
-func ReadPairs(r io.Reader) ([]entity.Pair, error) {
-	var pairs []entity.Pair
-	if err := readArtifact(r, "pairs", pairsVersion, &pairs); err != nil {
-		return nil, err
-	}
-	return pairs, nil
 }
 
 // storedResolver mirrors incremental.Snapshot for gob. The block index is
@@ -278,16 +232,6 @@ func ReadResolver(r io.Reader) (*incremental.Snapshot, error) {
 // checksummed write protocol.
 func SaveResolverFile(path string, s *incremental.Snapshot) error {
 	return saveFileAtomic(path, func(w io.Writer) error { return WriteResolver(w, s) })
-}
-
-// LoadResolverFile loads a resolver snapshot from a file, verifying its
-// checksum first (ErrCorruptArtifact / ErrVersionMismatch on failure).
-func LoadResolverFile(path string) (*incremental.Snapshot, error) {
-	payload, err := readFileVerified(path)
-	if err != nil {
-		return nil, err
-	}
-	return ReadResolver(bytes.NewReader(payload))
 }
 
 // SaveBlocksFile persists a block collection with the same atomic

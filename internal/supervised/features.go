@@ -22,12 +22,6 @@ import (
 // NumFeatures is the edge feature-vector length.
 const NumFeatures = 6
 
-// FeatureNames lists the edge features in vector order: the four
-// profile-pair weighting signals of Fig. 4 plus the two node degrees (the
-// profile-level signal EJS folds in). All features are computed in one
-// traversal.
-var FeatureNames = [NumFeatures]string{"ARCS", "CBS", "ECBS", "JS", "DegreeI", "DegreeJ"}
-
 // Edge is a comparison with its feature vector.
 type Edge struct {
 	I, J     entity.ID
@@ -81,9 +75,6 @@ func (e *Extractor) NumEdges() int64 {
 	}
 	return n / 2
 }
-
-// Degree returns the node degree |vi|.
-func (e *Extractor) Degree(id entity.ID) int32 { return e.degrees[id] }
 
 // scan enumerates the distinct neighbors of i, filling the count and arcs
 // accumulators. The returned slice is scratch.
