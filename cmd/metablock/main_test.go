@@ -319,7 +319,7 @@ func TestMetricsReport(t *testing.T) {
 		t.Errorf("prune.pairs = %d, want len(Pairs) %d", got, len(res.Pairs))
 	}
 	for _, name := range []string{"blocking.blocks", "blocking.comparisons", "purge.blocks",
-		"purge.comparisons", "filter.blocks", "graph.nodes", "prune.edges_weighted"} {
+		"purge.comparisons", "filter.blocks", "graph.nodes", "prune.edges_weighted", "prune.exact_mean_fallbacks"} {
 		tableValue(t, table, name) // must be present
 	}
 }

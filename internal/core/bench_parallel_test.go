@@ -55,3 +55,34 @@ func BenchmarkParallelStages(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkParallelNodeCentric times the node-centric pass alone — Reciprocal
+// WNP on the filtered D2D(0.5) blocks of BenchmarkParallelStages, for all
+// five schemes at one and two workers — and reports its cost per weighed
+// endpoint (ns/weighed-endpoint: the op's time over its prune.edges_weighted,
+// two per edge) beside the exact-mean fallbacks/op. The graph, and with it
+// the EJS degree pass, is built outside the timer, so each row is the
+// weighing, the thresholds and the decisions of one pass; the schemes
+// differ only in the per-edge arithmetic of the weighing.
+func BenchmarkParallelNodeCentric(b *testing.B) {
+	blocks := blockproc.BlockPurging{}.Apply(blocking.TokenBlocking{}.Build(datagen.D2D(0.5).Collection))
+	filtered := blockproc.BlockFiltering{Ratio: 0.8}.Apply(blocks)
+	for _, scheme := range AllSchemes {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%v/workers=%d", scheme, workers), func(b *testing.B) {
+				m := obs.NewMetrics()
+				g := NewGraphObserved(filtered, scheme, workers, obs.New(context.Background(), obs.WithMetrics(m)))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if len(g.PruneParallel(ReciprocalWNP, workers)) == 0 {
+						b.Fatal("nothing retained")
+					}
+				}
+				b.StopTimer()
+				weighed := m.Counter(obs.CtrEdgesWeighted).Value()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(weighed), "ns/weighed-endpoint")
+				b.ReportMetric(float64(m.Counter(obs.CtrExactMeanFallbacks).Value())/float64(b.N), "fallbacks/op")
+			})
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"metablocking/internal/block"
@@ -32,6 +35,13 @@ type Graph struct {
 	invCard []float64
 	// degrees caches |vi| (distinct neighbors per node) for EJS.
 	degrees []int32
+	// numBlocks holds float64(|Bj|) per entity and, for ECBS and EJS,
+	// factor holds the per-endpoint factor of the weight: ln(|B|/|Bj|) or
+	// ln(|VB|/dj). fillWeights reads a neighbor's operands from these dense
+	// tables, 8 bytes each, instead of a 24-byte block-list header and two
+	// logarithms per edge.
+	numBlocks []float64
+	factor    []float64
 	// cost holds the scan-cost prefix sums the parallel passes balance
 	// their ID ranges with; nil until costPrefix first builds it.
 	cost []int64
@@ -72,6 +82,10 @@ type scanScratch struct {
 	neighbors []entity.ID
 	weights   []float64
 	meanAcc   floatsum.Acc
+	// fallbacks counts the neighborhoods of the current range whose
+	// threshold needed the exact mean (thresholdOf); scanNodeRange flushes
+	// it to the prune.exact_mean_fallbacks counter.
+	fallbacks int64
 	// keys holds one node's retained slots while the parallel node-centric
 	// pass sorts them.
 	keys []uint64
@@ -141,16 +155,32 @@ func NewGraphObserved(c *block.Collection, scheme Scheme, workers int, o *obs.Ob
 		}
 	}
 	numNodes := 0
-	for id := 0; id < c.NumEntities; id++ {
-		if g.index.NumBlocks(entity.ID(id)) > 0 {
+	g.numBlocks = make([]float64, c.NumEntities)
+	for id := range g.numBlocks {
+		if b := g.index.NumBlocks(entity.ID(id)); b > 0 {
+			g.numBlocks[id] = float64(b)
 			numNodes++
 		}
 	}
 	g.ctx = weightContext{scheme: scheme, numBlocks: float64(len(c.Blocks)), numNodes: float64(numNodes)}
-	if scheme.NeedsDegrees() && !o.Canceled() {
+	switch {
+	case scheme == ECBS:
+		g.factor = make([]float64, c.NumEntities)
+		for id, b := range g.numBlocks {
+			if b > 0 {
+				g.factor[id] = math.Log(g.ctx.numBlocks / b)
+			}
+		}
+	case scheme.NeedsDegrees() && !o.Canceled():
 		g.meter = o.NewMeter(obs.StageGraph, int64(c.NumEntities))
 		g.computeDegrees(workers)
 		g.meter = nil
+		g.factor = make([]float64, c.NumEntities)
+		for id, d := range g.degrees {
+			if d > 0 {
+				g.factor[id] = math.Log(g.ctx.numNodes / float64(d))
+			}
+		}
 	}
 	return g
 }
@@ -252,22 +282,49 @@ func (g *Graph) computeDegrees(workers int) {
 }
 
 // fillWeights computes the weights of i's freshly scanned neighbors into
-// the scratch weights buffer, hoisting the per-i operands (|Bi|, degree)
-// out of the inner loop.
+// the scratch weights buffer: one switch on the scheme per node, then a
+// tight loop over the neighbors that reads their operands from the dense
+// per-node tables. Every weight is bit-identical to weightContext.weight's
+// for the same edge: JS's denominator is an exact integer sum whatever the
+// operand order, and ECBS and EJS multiply by the factor of the endpoint
+// weightContext.weight orders first — the smaller by (|B|, degree).
 func (g *Graph) fillWeights(i entity.ID, neighbors []entity.ID) []float64 {
 	sc := g.sc
-	w := sc.weights[:0]
-	bi := g.index.NumBlocks(i)
-	cells := sc.cells
-	if g.degrees == nil {
-		for _, j := range neighbors {
-			w = append(w, g.ctx.weight(cells[j].common, bi, g.index.NumBlocks(j), 0, 0))
+	w := slices.Grow(sc.weights[:0], len(neighbors))
+	w = w[:len(neighbors)]
+	cells, nb, f := sc.cells, g.numBlocks, g.factor
+	switch g.ctx.scheme {
+	case ARCS, CBS:
+		for n, j := range neighbors {
+			w[n] = cells[j].common
 		}
-	} else {
-		di := g.degrees[i]
-		for _, j := range neighbors {
-			w = append(w, g.ctx.weight(cells[j].common, bi, g.index.NumBlocks(j), di, g.degrees[j]))
+	case ECBS:
+		bi, fi := nb[i], f[i]
+		for n, j := range neighbors {
+			if c := cells[j].common; nb[j] < bi {
+				w[n] = c * f[j] * fi
+			} else {
+				w[n] = c * fi * f[j]
+			}
 		}
+	case JS:
+		bi := nb[i]
+		for n, j := range neighbors {
+			c := cells[j].common
+			w[n] = c / (bi + nb[j] - c)
+		}
+	case EJS:
+		bi, di, fi, d := nb[i], g.degrees[i], f[i], g.degrees
+		for n, j := range neighbors {
+			c, bj := cells[j].common, nb[j]
+			if js := c / (bi + bj - c); bj < bi || (bj == bi && d[j] < di) {
+				w[n] = js * f[j] * fi
+			} else {
+				w[n] = js * fi * f[j]
+			}
+		}
+	default:
+		panic(fmt.Sprintf("core: unknown weighting scheme %d", int(g.ctx.scheme)))
 	}
 	sc.weights = w
 	return w

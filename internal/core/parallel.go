@@ -67,6 +67,8 @@ func (g *Graph) scanNodeRange(lo, hi int, descending bool, fn func(i entity.ID, 
 	}
 	tick.flush()
 	g.obs.Counter(obs.CtrEdgesWeighted).Add(weighed)
+	g.obs.Counter(obs.CtrExactMeanFallbacks).Add(g.sc.fallbacks)
+	g.sc.fallbacks = 0
 }
 
 // forEachEdgeRange is ForEachEdge restricted to edges whose emitting

@@ -124,13 +124,20 @@ func (g *Graph) newTopK(a Algorithm) *edgeHeap {
 }
 
 // thresholdOf derives node i's criterion from its neighborhood. Weight-based
-// (topK == nil): the exact mean with no bound on the neighbor, i.e.
-// w >= mean. Cardinality-based: the k-th key of the neighborhood — the heap's
-// root once every neighbor was offered — which admits exactly the top-k
-// edges Alg. 4's sorted stack holds.
+// (topK == nil): the mean with no bound on the neighbor, i.e. w >= mean,
+// deciding every incident edge as the exact mean does — the naive mean
+// where certifiedMean certifies it, the exact one where it does not.
+// Cardinality-based: the k-th key of the neighborhood — the heap's root once
+// every neighbor was offered — which admits exactly the top-k edges Alg. 4's
+// sorted stack holds.
 func (g *Graph) thresholdOf(topK *edgeHeap, i entity.ID, neighbors []entity.ID, weights []float64) nodeThreshold {
 	if topK == nil {
-		return nodeThreshold{w: g.meanOf(weights), id: math.MaxInt32}
+		mean, ok := certifiedMean(weights)
+		if !ok {
+			mean = g.meanOf(weights)
+			g.sc.fallbacks++
+		}
+		return nodeThreshold{w: mean, id: math.MaxInt32}
 	}
 	if len(neighbors) <= topK.cap {
 		return admitsAll
@@ -140,6 +147,55 @@ func (g *Graph) thresholdOf(topK *edgeHeap, i entity.ID, neighbors []entity.ID, 
 		topK.offer(weights[n], i, j)
 	}
 	return nodeThreshold{w: topK.items[0].w, id: topK.items[0].j}
+}
+
+// unitRoundoff is u = 2⁻⁵³, the relative error of one rounded float64
+// operation.
+const unitRoundoff = 0x1p-53
+
+// certifiedMean returns the left-to-right mean m of xs and whether it is
+// certified: whether x >= m holds for every x in xs exactly when x >= m*
+// does, with m* = fl(fl(Σx)/n) the exact mean meanOf computes. A node's
+// threshold is only ever compared with the weights of its own edges — the
+// very values summed into it — so a certified m decides every edge as m*
+// would, and the exact sum is paid for only where it may not.
+//
+// The naive sum s of n values is within γ(n−1)·Σ|x| of the exact sum S,
+// where γ(k) = k·u/(1−k·u) (Higham, Accuracy and Stability of Numerical
+// Algorithms, §4.2). The roundings of fl(S), of fl(S)/n and of s/n add three
+// more u·|S|/n, so |m − m*| ≤ γ(n+2)·Σ|x|/n. The band is twice that: the
+// slack covers the rounding of the computed Σ|x| and of the band's own
+// arithmetic, and the absolute 2⁻¹⁰²² the precision subnormals lose. An x
+// with |x − m| > band compares with m and m* alike, and rounding is
+// monotone, so fl(|x − m|) > band proves it; any other x, or a NaN or
+// infinite band (a NaN or infinite weight, or an overflowing sum), leaves
+// the mean uncertified. With n ≤ 2 the naive sum is one rounded addition,
+// fl(S) itself.
+func certifiedMean(xs []float64) (float64, bool) {
+	if len(xs) == 0 {
+		return 0, true
+	}
+	var s, abs float64
+	for _, x := range xs {
+		s += x
+		abs += math.Abs(x)
+	}
+	n := float64(len(xs))
+	mean := s / n
+	nu := (n + 2) * unitRoundoff
+	band := 2*nu/(1-nu)*abs/n + 0x1p-1022
+	if !(band < math.Inf(1)) {
+		return mean, false
+	}
+	if len(xs) <= 2 {
+		return mean, true
+	}
+	for _, x := range xs {
+		if math.Abs(x-mean) <= band {
+			return mean, false
+		}
+	}
+	return mean, true
 }
 
 // copies is how many comparisons an edge yields given the verdicts of its

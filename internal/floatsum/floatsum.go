@@ -6,9 +6,15 @@
 // (WEP's global mean, WNP's neighborhood means). Float addition is not
 // associative, so a naive running sum would make threshold decisions on
 // boundary edges depend on enumeration order — and therefore differ between
-// the serial and multi-core implementations, and between worker counts. The exact sum is a property of the *multiset* of weights alone:
-// every partitioning of the inputs across workers yields bit-identical
-// thresholds, without materializing or sorting the weights.
+// worker counts. The exact sum is a property of the *multiset* of weights
+// alone: every partitioning of the inputs across workers yields
+// bit-identical thresholds, without materializing or sorting the weights.
+//
+// WEP's mean is always summed here. A neighborhood mean is summed here only
+// where it can change a verdict: internal/core first takes the naive mean
+// with its rounding-error band, and keeps it when no weight of the
+// neighborhood lies inside the band, since every such weight then compares
+// with it as with the exact mean (core's certifiedMean).
 package floatsum
 
 // Acc accumulates an exact float64 sum as a list of non-overlapping

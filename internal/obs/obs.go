@@ -58,11 +58,17 @@ const (
 	CtrFilterComparisons = "filter.comparisons"
 	// CtrGraphNodes is |VB|, the blocking graph's order.
 	CtrGraphNodes = "graph.nodes"
-	// CtrEdgesWeighted counts edge-weight evaluations during pruning,
-	// from the canonical traversal direction: one per edge per
-	// weighting pass (serial and parallel pruning run the same passes,
-	// so the count is worker-independent).
+	// CtrEdgesWeighted counts edge-weight evaluations during pruning:
+	// one per edge per edge-centric pass (CEP, WEP), which weighs an edge
+	// from its emitting endpoint, and two per edge for the node-centric
+	// pass, which weighs it from both endpoints. Every worker count runs
+	// the same passes, so the count is worker-independent.
 	CtrEdgesWeighted = "prune.edges_weighted"
+	// CtrExactMeanFallbacks counts the neighborhoods whose weight-based
+	// threshold (the WNP family) fell back to the exact mean because an
+	// incident weight lay within the naive mean's error band. It depends
+	// on the input only, not on the worker count.
+	CtrExactMeanFallbacks = "prune.exact_mean_fallbacks"
 	// CtrPairsRetained is the number of retained comparisons.
 	CtrPairsRetained = "prune.pairs"
 )
