@@ -8,9 +8,11 @@ import (
 )
 
 // TestNodeTraversalAllocFree pins the hot-path allocation contract of the
-// neighbor-aggregation inner loop (ScanCount + weighting, Algorithm 3):
-// after one warm-up traversal grows the scratch, ForEachNode and
-// ForEachEdge allocate nothing per pass over the flat Entity Index.
+// neighbor-aggregation inner loop (scanNeighborhood + fillWeights), for
+// every scheme: after one warm-up traversal grows the scratch, ForEachNode
+// and ForEachEdge allocate nothing per pass over the flat Entity Index —
+// under Optimized Edge Weighting (Alg. 3) and under the Original one
+// (Alg. 2), ForEachEdgeOriginal's one-edge weighing included.
 func TestNodeTraversalAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are inflated under the race detector")
@@ -18,23 +20,32 @@ func TestNodeTraversalAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := randomDirtyBlocks(rng, 60, 50)
 	t.Run("flat", func(t *testing.T) {
-		g := NewGraph(c, CBS)
-		nodeSink := 0
-		node := func(i entity.ID, neighbors []entity.ID, weights []float64) {
-			nodeSink += len(neighbors)
-		}
-		edgeSink := 0
-		edge := func(i, j entity.ID, w float64) { edgeSink++ }
-		g.ForEachNode(node) // warm-up: grows cells/neighbors/weights scratch
-		g.ForEachEdge(edge)
-		if avg := testing.AllocsPerRun(5, func() { g.ForEachNode(node) }); avg != 0 {
-			t.Errorf("ForEachNode allocated %.1f times per warm pass, want 0", avg)
-		}
-		if avg := testing.AllocsPerRun(5, func() { g.ForEachEdge(edge) }); avg != 0 {
-			t.Errorf("ForEachEdge allocated %.1f times per warm pass, want 0", avg)
-		}
-		if nodeSink == 0 || edgeSink == 0 {
-			t.Fatal("traversals visited nothing")
+		for _, scheme := range AllSchemes {
+			g, gOrig := NewGraph(c, scheme), NewGraph(c, scheme)
+			gOrig.OriginalWeighting = true
+			sink := 0
+			node := func(i entity.ID, neighbors []entity.ID, weights []float64) {
+				sink += len(neighbors)
+			}
+			edge := func(i, j entity.ID, w float64) { sink++ }
+			for _, tr := range []struct {
+				name string
+				pass func()
+			}{
+				{"ForEachNode", func() { g.ForEachNode(node) }},
+				{"ForEachEdge", func() { g.ForEachEdge(edge) }},
+				{"original ForEachNode", func() { gOrig.ForEachNode(node) }},
+				{"ForEachEdgeOriginal", func() { gOrig.ForEachEdgeOriginal(edge) }},
+			} {
+				sink = 0
+				tr.pass() // warm-up: grows cells/neighbors/weights scratch
+				if sink == 0 {
+					t.Fatalf("%v %s visited nothing", scheme, tr.name)
+				}
+				if avg := testing.AllocsPerRun(5, tr.pass); avg != 0 {
+					t.Errorf("%v %s allocated %.1f times per warm pass, want 0", scheme, tr.name, avg)
+				}
+			}
 		}
 	})
 }

@@ -27,9 +27,10 @@ type Graph struct {
 	// worker.
 	OriginalWeighting bool
 
-	blocks *block.Collection
-	index  *block.EntityIndex
-	ctx    weightContext
+	blocks   *block.Collection
+	index    *block.EntityIndex
+	scheme   Scheme
+	numNodes int // |VB|
 
 	// invCard caches 1/‖b‖ per block for ARCS.
 	invCard []float64
@@ -139,6 +140,7 @@ func NewGraphObserved(c *block.Collection, scheme Scheme, workers int, o *obs.Ob
 	g := &Graph{
 		blocks:      c,
 		index:       block.NewEntityIndexObserved(c, workers, o),
+		scheme:      scheme,
 		obs:         o,
 		sc:          &scanScratch{cells: make([]scanCell, c.NumEntities)},
 		scratchPool: &sync.Pool{},
@@ -154,21 +156,20 @@ func NewGraphObserved(c *block.Collection, scheme Scheme, workers int, o *obs.Ob
 			}
 		}
 	}
-	numNodes := 0
 	g.numBlocks = make([]float64, c.NumEntities)
 	for id := range g.numBlocks {
 		if b := g.index.NumBlocks(entity.ID(id)); b > 0 {
 			g.numBlocks[id] = float64(b)
-			numNodes++
+			g.numNodes++
 		}
 	}
-	g.ctx = weightContext{scheme: scheme, numBlocks: float64(len(c.Blocks)), numNodes: float64(numNodes)}
 	switch {
 	case scheme == ECBS:
+		numBlocks := float64(len(c.Blocks)) // |B|
 		g.factor = make([]float64, c.NumEntities)
 		for id, b := range g.numBlocks {
 			if b > 0 {
-				g.factor[id] = math.Log(g.ctx.numBlocks / b)
+				g.factor[id] = math.Log(numBlocks / b)
 			}
 		}
 	case scheme.NeedsDegrees() && !o.Canceled():
@@ -178,7 +179,7 @@ func NewGraphObserved(c *block.Collection, scheme Scheme, workers int, o *obs.Ob
 		g.factor = make([]float64, c.NumEntities)
 		for id, d := range g.degrees {
 			if d > 0 {
-				g.factor[id] = math.Log(g.ctx.numNodes / float64(d))
+				g.factor[id] = math.Log(float64(g.numNodes) / float64(d))
 			}
 		}
 	}
@@ -192,10 +193,10 @@ func (g *Graph) Blocks() *block.Collection { return g.blocks }
 func (g *Graph) Index() *block.EntityIndex { return g.index }
 
 // Scheme returns the weighting scheme the graph was built with.
-func (g *Graph) Scheme() Scheme { return g.ctx.scheme }
+func (g *Graph) Scheme() Scheme { return g.scheme }
 
 // NumNodes returns |VB|, the graph order (profiles placed in ≥1 block).
-func (g *Graph) NumNodes() int { return int(g.ctx.numNodes) }
+func (g *Graph) NumNodes() int { return g.numNodes }
 
 // NumEdges returns |EB|, the graph size (distinct comparisons). It requires
 // a full traversal and is intended for reporting, not hot paths.
@@ -281,19 +282,21 @@ func (g *Graph) computeDegrees(workers int) {
 	})
 }
 
-// fillWeights computes the weights of i's freshly scanned neighbors into
-// the scratch weights buffer: one switch on the scheme per node, then a
-// tight loop over the neighbors that reads their operands from the dense
-// per-node tables. Every weight is bit-identical to weightContext.weight's
-// for the same edge: JS's denominator is an exact integer sum whatever the
-// operand order, and ECBS and EJS multiply by the factor of the endpoint
-// weightContext.weight orders first — the smaller by (|B|, degree).
+// fillWeights weighs the edges from i to the given neighbors (Fig. 4) into
+// the scratch weights buffer, from the statistic in each neighbor's
+// ScanCount cell — Alg. 3's scan or Alg. 2's intersection put it there: one
+// switch on the scheme per node, then a tight loop over the neighbors that
+// reads their operands from the dense per-node tables. It is the package's
+// only weight evaluation, and an edge weighs the same bits from either
+// endpoint: JS's denominator is an exact integer sum in either order, and
+// ECBS and EJS multiply by the factor of the endpoint smaller by (|B|,
+// degree) first.
 func (g *Graph) fillWeights(i entity.ID, neighbors []entity.ID) []float64 {
 	sc := g.sc
 	w := slices.Grow(sc.weights[:0], len(neighbors))
 	w = w[:len(neighbors)]
 	cells, nb, f := sc.cells, g.numBlocks, g.factor
-	switch g.ctx.scheme {
+	switch g.scheme {
 	case ARCS, CBS:
 		for n, j := range neighbors {
 			w[n] = cells[j].common
@@ -324,7 +327,7 @@ func (g *Graph) fillWeights(i entity.ID, neighbors []entity.ID) []float64 {
 			}
 		}
 	default:
-		panic(fmt.Sprintf("core: unknown weighting scheme %d", int(g.ctx.scheme)))
+		panic(fmt.Sprintf("core: unknown weighting scheme %d", int(g.scheme)))
 	}
 	sc.weights = w
 	return w
@@ -340,7 +343,8 @@ func (g *Graph) ForEachNode(fn func(i entity.ID, neighbors []entity.ID, weights 
 
 // ForEachEdge invokes fn once per edge of the blocking graph with its
 // weight, using the optimized per-node scan and emitting each pair from its
-// smaller endpoint only.
+// smaller endpoint only. On a graph with OriginalWeighting it runs Alg. 2's
+// comparison loop instead (ForEachEdgeOriginal).
 func (g *Graph) ForEachEdge(fn func(i, j entity.ID, w float64)) {
 	g.forEachEdgeRange(0, g.blocks.NumEntities, fn)
 }

@@ -147,8 +147,9 @@ func TestForEachNodeVisitsEveryEdgeTwice(t *testing.T) {
 }
 
 // TestOptimizedMatchesOriginal is the key equivalence property (paper
-// §4.2): Algorithms 2 and 3 must produce identical edge sets and weights,
-// for every scheme, on random Dirty and Clean-Clean collections.
+// §4.2): Algorithms 2 and 3 must produce identical edge sets and
+// bit-identical weights, for every scheme, on random Dirty and Clean-Clean
+// collections.
 func TestOptimizedMatchesOriginal(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 10; trial++ {
@@ -170,7 +171,7 @@ func TestOptimizedMatchesOriginal(t *testing.T) {
 					if !ok {
 						t.Fatalf("trial %d %v %v: edge %v only in optimized", trial, c.Task, scheme, p)
 					}
-					if math.Abs(w-ow) > 1e-9 {
+					if math.Float64bits(w) != math.Float64bits(ow) {
 						t.Fatalf("trial %d %v %v: edge %v weight %v vs %v",
 							trial, c.Task, scheme, p, w, ow)
 					}
@@ -181,7 +182,7 @@ func TestOptimizedMatchesOriginal(t *testing.T) {
 }
 
 // TestNodeTraversalsAgree checks ForEachNode yields the same neighborhoods
-// and weights with Optimized and with Original Edge Weighting.
+// and bit-identical weights with Optimized and with Original Edge Weighting.
 func TestNodeTraversalsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	c := randomDirtyBlocks(rng, 30, 25)
@@ -211,7 +212,7 @@ func TestNodeTraversalsAgree(t *testing.T) {
 				t.Fatalf("%v node %d: neighborhood sizes differ", scheme, i)
 			}
 			for j, w := range h {
-				if math.Abs(w-oh[j]) > 1e-9 {
+				if math.Float64bits(w) != math.Float64bits(oh[j]) {
 					t.Fatalf("%v edge %d-%d: %v vs %v", scheme, i, j, w, oh[j])
 				}
 			}

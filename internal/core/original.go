@@ -10,9 +10,9 @@ import (
 // Original Edge Weighting of Algorithm 2: it iterates over every
 // comparison of every block, intersects the two sorted block lists, aborts
 // early on redundant comparisons (the first common block ID violating the
-// LeCoBI condition), and otherwise derives the weight from the full
-// intersection. Its average cost is O(2·BPE·‖B‖), which the optimized
-// ForEachEdge reduces to O(‖B‖ + |v̄|·|E|) (paper §4.3).
+// LeCoBI condition), and otherwise weighs the full intersection with a
+// one-neighbor fillWeights call. Its average cost is O(2·BPE·‖B‖), which
+// the optimized ForEachEdge reduces to O(‖B‖ + |v̄|·|E|) (paper §4.3).
 func (g *Graph) ForEachEdgeOriginal(fn func(i, j entity.ID, w float64)) {
 	var seen, weighed int64
 	g.blocks.ForEachComparison(func(blockID int, a, b entity.ID) bool {
@@ -23,13 +23,10 @@ func (g *Graph) ForEachEdgeOriginal(fn func(i, j entity.ID, w float64)) {
 		if !ok {
 			return true // redundant comparison: skip
 		}
-		var da, db int32
-		if g.degrees != nil {
-			da, db = g.degrees[a], g.degrees[b]
-		}
-		w := g.ctx.weight(common, g.index.NumBlocks(a), g.index.NumBlocks(b), da, db)
+		g.sc.cells[b].common = common
+		one := [1]entity.ID{b}
 		weighed++
-		fn(a, b, w)
+		fn(a, b, g.fillWeights(a, one[:])[0])
 		return true
 	})
 	g.obs.Counter(obs.CtrEdgesWeighted).Add(weighed)
@@ -57,59 +54,6 @@ func (g *Graph) intersect(blockID int32, a, b entity.ID) (common float64, ok boo
 		common = float64(postings.IntersectCount(la, lb))
 	}
 	return common, true
-}
-
-// originalNeighborhood returns i's distinct neighbors and their edge
-// weights, derived with the per-pair block-list intersection of Algorithm 2
-// instead of the ScanCount accumulators: what the node-centric pruning
-// schemes cost without Optimized Edge Weighting (Table 3).
-func (g *Graph) originalNeighborhood(i entity.ID) ([]entity.ID, []float64) {
-	neighbors := g.distinctNeighbors(i)
-	weights := g.sc.weights[:0]
-	var di, dj int32
-	for _, j := range neighbors {
-		common := g.intersectAll(i, j)
-		if g.degrees != nil {
-			di, dj = g.degrees[i], g.degrees[j]
-		}
-		weights = append(weights, g.ctx.weight(common, g.index.NumBlocks(i), g.index.NumBlocks(j), di, dj))
-	}
-	g.sc.weights = weights
-	return neighbors, weights
-}
-
-// distinctNeighbors enumerates the distinct co-occurring profiles of i
-// without computing weights (flags-only ScanCount).
-func (g *Graph) distinctNeighbors(i entity.ID) []entity.ID {
-	sc := g.sc
-	sc.neighbors = sc.neighbors[:0]
-	sc.epoch++
-	epoch := sc.epoch
-	cells := sc.cells
-	clean := g.blocks.Task == entity.CleanClean
-	iFirst := g.blocks.InFirst(i)
-	for _, bid := range g.index.BlockList(i) {
-		b := &g.blocks.Blocks[bid]
-		var others []entity.ID
-		switch {
-		case !clean:
-			others = b.E1
-		case iFirst:
-			others = b.E2
-		default:
-			others = b.E1
-		}
-		for _, j := range others {
-			if j == i {
-				continue
-			}
-			if cells[j].epoch != epoch {
-				cells[j].epoch = epoch
-				sc.neighbors = append(sc.neighbors, j)
-			}
-		}
-	}
-	return sc.neighbors
 }
 
 // intersectAll derives the co-occurrence statistic of a and b from their

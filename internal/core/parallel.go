@@ -31,13 +31,16 @@ func (g *Graph) getScratch() *scanScratch {
 
 // forEachNodeRange is ForEachNode restricted to node IDs in [lo, hi).
 func (g *Graph) forEachNodeRange(lo, hi int, fn func(i entity.ID, neighbors []entity.ID, weights []float64)) {
-	g.scanNodeRange(lo, hi, false, fn)
+	g.scanNodeRange(lo, hi, false, false, fn)
 }
 
 // scanNodeRange visits the nodes of [lo, hi) in ascending or descending ID
-// order, weighing each neighborhood with Alg. 3's ScanCount or, on a graph
-// with OriginalWeighting, Alg. 2's per-pair intersections.
-func (g *Graph) scanNodeRange(lo, hi int, descending bool, fn func(i entity.ID, neighbors []entity.ID, weights []float64)) {
+// order, enumerating each neighborhood with scanNeighborhood and weighing
+// it with fillWeights — from Alg. 3's ScanCount statistic or, on a graph
+// with OriginalWeighting, from Alg. 2's per-pair intersections (the cost
+// Table 3 measures). With upper set it drops the neighbors smaller than the
+// node before they are weighed and counted, for the edge-centric passes.
+func (g *Graph) scanNodeRange(lo, hi int, descending, upper bool, fn func(i entity.ID, neighbors []entity.ID, weights []float64)) {
 	tick := obsTick{o: g.obs, m: g.meter}
 	var weighed int64
 	for id := lo; id < hi; id++ {
@@ -51,24 +54,27 @@ func (g *Graph) scanNodeRange(lo, hi int, descending bool, fn func(i entity.ID, 
 		if g.index.NumBlocks(i) == 0 {
 			continue
 		}
-		var neighbors []entity.ID
-		var weights []float64
-		if g.OriginalWeighting {
-			neighbors, weights = g.originalNeighborhood(i)
-		} else {
-			neighbors = g.scanNeighborhood(i)
-			weights = g.fillWeights(i, neighbors)
+		neighbors := g.scanNeighborhood(i)
+		if upper {
+			neighbors = slices.DeleteFunc(neighbors, func(j entity.ID) bool { return j < i })
 		}
 		if len(neighbors) == 0 {
 			continue
 		}
+		if g.OriginalWeighting {
+			for _, j := range neighbors {
+				g.sc.cells[j].common = g.intersectAll(i, j)
+			}
+		}
 		weighed += int64(len(neighbors))
-		fn(i, neighbors, weights)
+		fn(i, neighbors, g.fillWeights(i, neighbors))
 	}
 	tick.flush()
 	g.obs.Counter(obs.CtrEdgesWeighted).Add(weighed)
-	g.obs.Counter(obs.CtrExactMeanFallbacks).Add(g.sc.fallbacks)
-	g.sc.fallbacks = 0
+	if !upper { // only a whole neighborhood has a threshold
+		g.obs.Counter(obs.CtrExactMeanFallbacks).Add(g.sc.fallbacks)
+		g.sc.fallbacks = 0
+	}
 }
 
 // forEachEdgeRange is ForEachEdge restricted to edges whose emitting
@@ -82,38 +88,11 @@ func (g *Graph) forEachEdgeRange(lo, hi int, fn func(i, j entity.ID, w float64))
 		g.ForEachEdgeOriginal(fn)
 		return
 	}
-	tick := obsTick{o: g.obs, m: g.meter}
-	clean := g.blocks.Task == entity.CleanClean
-	hi = min(hi, g.emitEnd())
-	var weighed int64
-	for id := lo; id < hi; id++ {
-		if tick.step() {
-			break
+	g.scanNodeRange(lo, min(hi, g.emitEnd()), false, true, func(i entity.ID, neighbors []entity.ID, weights []float64) {
+		for n, j := range neighbors {
+			fn(i, j, weights[n])
 		}
-		i := entity.ID(id)
-		bi := g.index.NumBlocks(i)
-		if bi == 0 {
-			continue
-		}
-		var di int32
-		if g.degrees != nil {
-			di = g.degrees[i]
-		}
-		cells := g.sc.cells
-		for _, j := range g.scanNeighborhood(i) {
-			if !clean && j < i {
-				continue
-			}
-			var dj int32
-			if g.degrees != nil {
-				dj = g.degrees[j]
-			}
-			weighed++
-			fn(i, j, g.ctx.weight(cells[j].common, bi, g.index.NumBlocks(j), di, dj))
-		}
-	}
-	tick.flush()
-	g.obs.Counter(obs.CtrEdgesWeighted).Add(weighed)
+	})
 }
 
 // meanOf is the exact neighborhood mean (see internal/floatsum), computed
@@ -495,14 +474,15 @@ type pendingEdge struct {
 
 // nodeCentricParallel is all six node-centric algorithms in one node-centric
 // pass, instead of the node pass plus edge pass of Algs. 4/5. Edge weights
-// are bit-identical from either endpoint (weightContext.weight canonicalizes
-// its operands), so an edge is decided once both endpoints' thresholds are
-// known. It returns the resolved buckets and how many pairs survive in them,
-// which come out in canonical order without a global sort: every range of
-// IDs is scanned downwards and decides each edge at its smaller endpoint i,
-// so its pairs all have A = i, the ranges are disjoint in A, and ordering the
-// result takes a sort of each node's few retained neighbors plus one reversed
-// walk of the buckets (appendAscending), into one slice or chunk by chunk.
+// are bit-identical from either endpoint (fillWeights orders its factors by
+// the endpoints, not by the side it weighs from), so an edge is decided once
+// both endpoints' thresholds are known. It returns the resolved buckets and
+// how many pairs survive in them, which come out in canonical order without
+// a global sort: every range of IDs is scanned downwards and decides each
+// edge at its smaller endpoint i, so its pairs all have A = i, the ranges
+// are disjoint in A, and ordering the result takes a sort of each node's few
+// retained neighbors plus one reversed walk of the buckets
+// (appendAscending), into one slice or chunk by chunk.
 func (g *Graph) nodeCentricParallel(a Algorithm, workers int) ([]nodeBucket, int) {
 	buckets, thresholds := g.nodeBuckets(a, workers)
 	total := 0
@@ -580,7 +560,7 @@ func (g *Graph) decideRange(a Algorithm, lo, hi, knownFrom int, thresholds []nod
 	var b nodeBucket
 	sc := g.sc
 	topK := g.newTopK(a)
-	g.scanNodeRange(lo, hi, true, func(i entity.ID, neighbors []entity.ID, weights []float64) {
+	g.scanNodeRange(lo, hi, true, false, func(i entity.ID, neighbors []entity.ID, weights []float64) {
 		ti := g.thresholdOf(topK, i, neighbors, weights)
 		thresholds[i] = ti
 		// One key per slot, j<<32|n<<1|pending: sorting orders the group by

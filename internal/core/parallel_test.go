@@ -97,8 +97,8 @@ func TestShardSharesImmutableState(t *testing.T) {
 	if &s.sc.cells[0] == &g.sc.cells[0] {
 		t.Fatal("shard must not share scratch arrays")
 	}
-	if s.ctx != g.ctx {
-		t.Fatal("shard must inherit the weight context")
+	if s.scheme != g.scheme || s.numNodes != g.numNodes {
+		t.Fatal("shard must inherit the scheme and |VB|")
 	}
 }
 

@@ -132,7 +132,7 @@ func (g *Graph) newTopK(a Algorithm) *edgeHeap {
 // sorted stack holds.
 func (g *Graph) thresholdOf(topK *edgeHeap, i entity.ID, neighbors []entity.ID, weights []float64) nodeThreshold {
 	if topK == nil {
-		mean, ok := certifiedMean(weights)
+		mean, ok := certifiedMean(weights, g.scheme == CBS)
 		if !ok {
 			mean = g.meanOf(weights)
 			g.sc.fallbacks++
@@ -171,7 +171,12 @@ const unitRoundoff = 0x1p-53
 // infinite band (a NaN or infinite weight, or an overflowing sum), leaves
 // the mean uncertified. With n ≤ 2 the naive sum is one rounded addition,
 // fl(S) itself.
-func certifiedMean(xs []float64) (float64, bool) {
+//
+// When integral is set every x is an integer — a CBS weight is a count of
+// shared blocks — and while Σ|x| < 2⁵³ every partial sum is an integer
+// float64 holds exactly, so s = S, m = m*, and the mean is certified with
+// no band to scan.
+func certifiedMean(xs []float64, integral bool) (float64, bool) {
 	if len(xs) == 0 {
 		return 0, true
 	}
@@ -182,6 +187,9 @@ func certifiedMean(xs []float64) (float64, bool) {
 	}
 	n := float64(len(xs))
 	mean := s / n
+	if integral && abs < 0x1p53 {
+		return mean, true
+	}
 	nu := (n + 2) * unitRoundoff
 	band := 2*nu/(1-nu)*abs/n + 0x1p-1022
 	if !(band < math.Inf(1)) {

@@ -8,7 +8,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrUnsupportedScheme is the shared sentinel for "this component cannot
@@ -68,39 +67,3 @@ func (s Scheme) NeedsDegrees() bool { return s == EJS }
 // usesReciprocalCardinality reports whether the per-block accumulator adds
 // 1/‖b‖ (ARCS) rather than 1 (all other schemes).
 func (s Scheme) usesReciprocalCardinality() bool { return s == ARCS }
-
-// weightContext carries the per-graph constants every weight evaluation
-// needs.
-type weightContext struct {
-	scheme    Scheme
-	numBlocks float64 // |B|
-	numNodes  float64 // |VB|
-}
-
-// weight computes the edge weight from the accumulated co-occurrence
-// statistic. For ARCS, common is Σ 1/‖b‖ over shared blocks; for all other
-// schemes it is |Bij|. bi and bj are |Bi| and |Bj| (blocks per profile);
-// di and dj are the node degrees (used only by EJS).
-//
-// The operand pairs are canonicalized so the result is bit-exact identical
-// whichever endpoint the edge is evaluated from (floating-point
-// multiplication is commutative but not associative).
-func (w weightContext) weight(common float64, bi, bj int, di, dj int32) float64 {
-	if bi > bj || (bi == bj && di > dj) {
-		bi, bj = bj, bi
-		di, dj = dj, di
-	}
-	switch w.scheme {
-	case ARCS, CBS:
-		return common
-	case ECBS:
-		return common * math.Log(w.numBlocks/float64(bi)) * math.Log(w.numBlocks/float64(bj))
-	case JS:
-		return common / (float64(bi) + float64(bj) - common)
-	case EJS:
-		js := common / (float64(bi) + float64(bj) - common)
-		return js * math.Log(w.numNodes/float64(di)) * math.Log(w.numNodes/float64(dj))
-	default:
-		panic(fmt.Sprintf("core: unknown weighting scheme %d", int(w.scheme)))
-	}
-}

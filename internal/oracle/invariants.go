@@ -12,40 +12,66 @@ import (
 // CheckWeights verifies the paper's §4.2 equivalence theorem on one
 // collection and scheme: Optimized Edge Weighting (Alg. 3), Original Edge
 // Weighting (Alg. 2) and the oracle's explicit intersection must agree on
-// the exact edge set and on bit-identical weights.
+// the exact edge set and on bit-identical weights. The edge traversals must
+// emit every edge once; the node traversals, under either weighting, once
+// from each endpoint, with the same bits both times.
 func CheckWeights(c *block.Collection, scheme core.Scheme) error {
 	want := NewGraph(c, scheme).Weights
-	for name, traverse := range map[string]func(func(i, j entity.ID, w float64)){
-		"optimized (Alg. 3)": core.NewGraph(c, scheme).ForEachEdge,
-		"original (Alg. 2)":  withOriginal(core.NewGraph(c, scheme)).ForEachEdgeOriginal,
+	for _, tr := range []struct {
+		name      string
+		traverse  func(func(i, j entity.ID, w float64))
+		endpoints int
+	}{
+		{"optimized (Alg. 3)", core.NewGraph(c, scheme).ForEachEdge, 1},
+		{"original (Alg. 2)", withOriginal(core.NewGraph(c, scheme)).ForEachEdgeOriginal, 1},
+		{"optimized nodes (Alg. 3)", arcsOf(core.NewGraph(c, scheme)), 2},
+		{"original nodes (Alg. 2)", arcsOf(withOriginal(core.NewGraph(c, scheme))), 2},
 	} {
-		got := make(map[entity.Pair]float64, len(want))
-		dup := false
-		traverse(func(i, j entity.ID, w float64) {
-			p := entity.MakePair(i, j)
-			if _, seen := got[p]; seen {
-				dup = true
+		// An edge traversal's (i, j) is keyed by its pair, a node
+		// traversal's by the direction it was seen in.
+		key := entity.MakePair
+		if tr.endpoints == 2 {
+			key = func(i, j entity.ID) entity.Pair { return entity.Pair{A: i, B: j} }
+		}
+		got := make(map[entity.Pair]float64, tr.endpoints*len(want))
+		var err error
+		tr.traverse(func(i, j entity.ID, w float64) {
+			k := key(i, j)
+			if _, seen := got[k]; seen && err == nil {
+				err = fmt.Errorf("%s/%v: edge %v was emitted twice from %d", tr.name, scheme, entity.MakePair(i, j), i)
 			}
-			got[p] = w
+			got[k] = w
 		})
-		if dup {
-			return fmt.Errorf("%s/%v: an edge was emitted twice", name, scheme)
+		if err != nil {
+			return err
 		}
-		if len(got) != len(want) {
-			return fmt.Errorf("%s/%v: %d edges, oracle has %d", name, scheme, len(got), len(want))
+		if len(got) != tr.endpoints*len(want) {
+			return fmt.Errorf("%s/%v: %d edges seen, oracle has %d×%d", tr.name, scheme, len(got), len(want), tr.endpoints)
 		}
-		for p, w := range want {
-			gw, ok := got[p]
+		for k, gw := range got {
+			w, ok := want[entity.MakePair(k.A, k.B)]
 			if !ok {
-				return fmt.Errorf("%s/%v: edge %v missing", name, scheme, p)
+				return fmt.Errorf("%s/%v: edge %v not in the oracle", tr.name, scheme, k)
 			}
 			if gw != w {
 				return fmt.Errorf("%s/%v: edge %v weight %v ≠ oracle %v (diff %g)",
-					name, scheme, p, gw, w, gw-w)
+					tr.name, scheme, k, gw, w, gw-w)
 			}
 		}
 	}
 	return nil
+}
+
+// arcsOf turns g's node traversal into a stream of its (node, neighbor,
+// weight) arcs.
+func arcsOf(g *core.Graph) func(func(i, j entity.ID, w float64)) {
+	return func(fn func(i, j entity.ID, w float64)) {
+		g.ForEachNode(func(i entity.ID, neighbors []entity.ID, weights []float64) {
+			for n, j := range neighbors {
+				fn(i, j, weights[n])
+			}
+		})
+	}
 }
 
 func withOriginal(g *core.Graph) *core.Graph {
