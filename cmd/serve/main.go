@@ -216,7 +216,8 @@ func run(ctx context.Context, opts options, logw io.Writer, ready chan<- string)
 		if err != nil {
 			return fmt.Errorf("loading snapshot: %w", err)
 		}
-		fmt.Fprintf(logw, "serve: loaded snapshot %s (%d profiles)\n", opts.snapshot, n)
+		fmt.Fprintf(logw, "serve: loaded snapshot %s (%d profiles) in %d ms\n",
+			opts.snapshot, n, srv.Metrics().Gauge(server.GaugeReloadUs).Value()/1000)
 	}
 
 	ln, err := net.Listen("tcp", opts.addr)

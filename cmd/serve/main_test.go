@@ -6,11 +6,16 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"metablocking/internal/core"
+	"metablocking/internal/entity"
+	"metablocking/internal/incremental"
+	"metablocking/internal/store"
 )
 
 // TestServeLifecycle boots the service on a random port, resolves two
@@ -254,5 +259,56 @@ func TestServeSharded(t *testing.T) {
 	cancel()
 	if err := <-errc; err != nil {
 		t.Fatalf("drain returned %v", err)
+	}
+}
+
+// TestServeLogsSnapshotLoad: -snapshot logs the profile count in
+// parentheses, which scripts/chaos_smoke.sh greps for, and after it the
+// load time that the server.reload_us gauge recorded.
+func TestServeLogsSnapshotLoad(t *testing.T) {
+	r, err := incremental.NewResolver(incremental.Config{Scheme: core.JS, K: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b entity.Profile
+	a.Add("name", "jack miller")
+	b.Add("name", "jack q miller")
+	r.AddBatch([]entity.Profile{a, b})
+	path := filepath.Join(t.TempDir(), "two.snap")
+	if err := store.SaveResolverFile(path, r.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ready := make(chan string, 1)
+	var logBuf bytes.Buffer
+	errc := make(chan error, 1)
+	go func() {
+		errc <- run(ctx, options{
+			addr:        "127.0.0.1:0",
+			scheme:      "js",
+			k:           10,
+			maxBlock:    1000,
+			batchWindow: time.Millisecond,
+			batchMax:    16,
+			queueDepth:  64,
+			retryAfter:  time.Second,
+			snapshot:    path,
+		}, &logBuf, ready)
+	}()
+	select {
+	case <-ready:
+	case err := <-errc:
+		t.Fatalf("run exited early: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("server never became ready")
+	}
+	cancel()
+	if err := <-errc; err != nil {
+		t.Fatalf("drain returned %v", err)
+	}
+	if line := regexp.MustCompile(`loaded snapshot .* \(2 profiles\) in \d+ ms`); !line.MatchString(logBuf.String()) {
+		t.Fatalf("log lacks the load line:\n%s", logBuf.String())
 	}
 }

@@ -709,14 +709,13 @@ func (p *Partition) AddBlockCounts(m map[string]int) {
 }
 
 // Snapshot implements shard.Backend: the canonical in-memory segment,
-// read back from the sealed files plus the memtable. Shapes match
-// incremental.Partition.Snapshot exactly (nil for empty profile lists
-// and key lists) so DeepEqual equivalence holds across backends.
+// read back from the sealed files' profile pages plus the memtable. Shapes
+// match incremental.Partition.Snapshot exactly (nil for empty profile
+// lists and key lists) so DeepEqual equivalence holds across backends.
 func (p *Partition) Snapshot() *incremental.PartitionSnapshot {
 	s := &incremental.PartitionSnapshot{
 		Shard:    p.index,
 		Shards:   p.shards,
-		Blocks:   make(map[string][]entity.ID),
 		BlocksOf: make([][]string, 0, p.slots()),
 	}
 	var scratch []byte
@@ -730,23 +729,10 @@ func (p *Partition) Snapshot() *incremental.PartitionSnapshot {
 			s.Profiles = append(s.Profiles, profiles...)
 			s.BlocksOf = append(s.BlocksOf, keys...)
 		}
-		toks := seg.Tokens()
-		for ti := range toks {
-			ref := seg.Ref(ti)
-			var err error
-			if scratch, err = seg.ReadPage(int(ref.Page), scratch); err != nil {
-				fail(err)
-			}
-			enc := scratch[ref.Off : ref.Off+ref.Len]
-			s.Blocks[toks[ti]] = postings.AppendDecoded(s.Blocks[toks[ti]], enc, int(ref.Count))
-		}
 	}
 	s.Profiles = append(s.Profiles, p.memProfiles...)
 	for _, keys := range p.memKeys {
 		s.BlocksOf = append(s.BlocksOf, append([]string(nil), keys...))
-	}
-	for t, b := range p.mem {
-		s.Blocks[t] = b.AppendTo(s.Blocks[t])
 	}
 	return s
 }

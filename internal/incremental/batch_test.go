@@ -2,6 +2,7 @@ package incremental
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"metablocking/internal/core"
@@ -113,14 +114,25 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 	p.Add("v", "alpha beta")
 	r.Add(p)
 	snap := r.Snapshot()
-	before := len(snap.Blocks["alpha"])
+	members := func() int { // the "alpha" block's size, counted through BlocksOf
+		n := 0
+		for _, keys := range snap.BlocksOf {
+			if slices.Contains(keys, "alpha") {
+				n++
+			}
+		}
+		return n
+	}
+	before := members()
 	r.Add(p) // grows the live block
-	if got := len(snap.Blocks["alpha"]); got != before {
+	if got := members(); got != before || len(snap.Profiles) != 1 {
 		t.Fatalf("snapshot block grew from %d to %d after a live Add", before, got)
 	}
 }
 
-// TestFromSnapshotValidates covers the rejection paths.
+// TestFromSnapshotValidates covers the rejection paths: the shape checks
+// and the shared Validate that an optional Blocks must pass — exactly the
+// inverse of BlocksOf.
 func TestFromSnapshotValidates(t *testing.T) {
 	if _, err := FromSnapshot(nil); err == nil {
 		t.Fatal("nil snapshot accepted")
@@ -136,9 +148,33 @@ func TestFromSnapshotValidates(t *testing.T) {
 	}
 	if _, err := FromSnapshot(&Snapshot{
 		Profiles: make([]entity.Profile, 1),
-		BlocksOf: make([][]string, 1),
-		Blocks:   map[string][]entity.ID{"tok": {5}},
+		BlocksOf: [][]string{{"tok", "tok"}},
+		Blocks:   map[string][]entity.ID{"tok": {0}},
 	}); err == nil {
-		t.Fatal("out-of-range block member accepted")
+		t.Fatal("key listed twice for one profile accepted")
+	}
+	keyLists := [][]string{{"a", "b"}, {"b"}, {"a", "b"}}
+	for _, tc := range []struct {
+		name   string
+		blocks map[string][]entity.ID
+		ok     bool
+	}{
+		{"exact inverse", map[string][]entity.ID{"a": {0, 2}, "b": {0, 1, 2}}, true},
+		{"missing key", map[string][]entity.ID{"a": {0, 2}}, false},
+		{"extra member", map[string][]entity.ID{"a": {0, 1, 2}, "b": {0, 1, 2}}, false},
+		{"wrong count", map[string][]entity.ID{"a": {0, 2}, "b": {0, 2}}, false},
+		{"extra key", map[string][]entity.ID{"a": {0, 2}, "b": {0, 1, 2}, "c": {1}}, false},
+		{"out of range", map[string][]entity.ID{"a": {0, 2}, "b": {0, 1, 5}}, false},
+		{"out of order", map[string][]entity.ID{"a": {2, 0}, "b": {0, 1, 2}}, false},
+		{"empty map", map[string][]entity.ID{}, false},
+	} {
+		s := &Snapshot{Profiles: make([]entity.Profile, 3), BlocksOf: keyLists, Blocks: tc.blocks}
+		_, err := FromSnapshot(s)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: FromSnapshot err = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if (s.Validate() == nil) != tc.ok {
+			t.Errorf("%s: Validate disagrees with FromSnapshot", tc.name)
+		}
 	}
 }

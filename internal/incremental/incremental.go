@@ -173,16 +173,22 @@ func (r *Resolver) Add(p entity.Profile) (entity.ID, []Candidate) {
 	// Gather weighted candidates from the profile's blocks BEFORE adding
 	// it to them (candidates are strictly older profiles).
 	candidates := r.collect(keys, -1)
+	appendPostings(r.blocks, id, keys)
+	return id, candidates
+}
 
+// appendPostings appends id to the posting list of each of its keys. IDs
+// must arrive in ascending order and a profile's keys must be distinct:
+// postings.Builder panics on a non-ascending append.
+func appendPostings(blocks map[string]*postings.Builder, id entity.ID, keys []string) {
 	for _, k := range keys {
-		b := r.blocks[k]
+		b := blocks[k]
 		if b == nil {
 			b = new(postings.Builder)
-			r.blocks[k] = b
+			blocks[k] = b
 		}
 		b.Append(id)
 	}
-	return id, candidates
 }
 
 // Peek computes the pruned candidates the profile would receive from Add,
@@ -384,32 +390,65 @@ func (r *Resolver) AddBatch(ps []entity.Profile) []BatchResult {
 }
 
 // Snapshot is a self-contained, restorable copy of a resolver's state: the
-// configuration, the profiles in arrival order, and the token index so a
-// restore does not re-tokenize. internal/store persists it as the
-// "resolver" artifact; the serving layer hot-swaps resolvers built from
-// one. Block member lists are plain ID slices regardless of the resolver's
-// internal compressed representation, so the artifact format is stable.
+// configuration, the profiles in arrival order, and each profile's block
+// keys, so a restore does not re-tokenize. The token index is the inverse
+// of BlocksOf and is derived on restore. internal/store persists it as
+// the "resolver" artifact; the serving layer hot-swaps resolvers built
+// from one.
 type Snapshot struct {
 	Config   Config
 	Profiles []entity.Profile
-	// Blocks maps token → member profile IDs in arrival order.
+	// Blocks optionally maps token → member profile IDs in arrival order.
+	// Nothing in this package or internal/store sets it or persists it; a
+	// caller that builds a snapshot by hand may, and Validate then requires
+	// it to be exactly the inverse of BlocksOf.
 	Blocks map[string][]entity.ID
 	// BlocksOf lists the tokens (block keys) of each profile.
 	BlocksOf [][]string
 }
 
-// Snapshot deep-copies the resolver's state, decoding the compressed
-// posting lists into plain ID slices. The caller may persist or mutate the
-// copy while the resolver keeps resolving.
+// Validate checks one key list per profile and, when Blocks is set, that
+// it is exactly the inverse of BlocksOf: its members are in range,
+// strictly ascending and name the block among their keys (Blocks ⊆
+// inverse), and it holds as many memberships as the key lists (so ⊆ is
+// =, and no key is listed twice for one profile). FromSnapshot,
+// shard.FromSnapshot and store.WriteResolver all call it.
+func (s *Snapshot) Validate() error {
+	if len(s.BlocksOf) != len(s.Profiles) {
+		return fmt.Errorf("incremental: snapshot has %d profiles but %d block-key lists",
+			len(s.Profiles), len(s.BlocksOf))
+	}
+	if s.Blocks == nil {
+		return nil
+	}
+	refs, members := 0, 0
+	for _, keys := range s.BlocksOf {
+		refs += len(keys)
+	}
+	for k, ids := range s.Blocks {
+		for i, id := range ids {
+			if int(id) < 0 || int(id) >= len(s.BlocksOf) || i > 0 && id <= ids[i-1] {
+				return fmt.Errorf("incremental: snapshot block %q member %d out of range or order", k, id)
+			}
+			if !slices.Contains(s.BlocksOf[id], k) {
+				return fmt.Errorf("incremental: snapshot block %q lists profile %d, whose keys do not name it", k, id)
+			}
+		}
+		members += len(ids)
+	}
+	if members != refs {
+		return fmt.Errorf("incremental: snapshot blocks hold %d memberships, its key lists %d", members, refs)
+	}
+	return nil
+}
+
+// Snapshot deep-copies the resolver's state. The caller may persist or
+// mutate the copy while the resolver keeps resolving.
 func (r *Resolver) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Config:   r.cfg,
 		Profiles: append([]entity.Profile(nil), r.profiles...),
-		Blocks:   make(map[string][]entity.ID, len(r.blocks)),
 		BlocksOf: make([][]string, len(r.blocksOf)),
-	}
-	for k, b := range r.blocks {
-		s.Blocks[k] = b.AppendTo(make([]entity.ID, 0, b.Len()))
 	}
 	for i, keys := range r.blocksOf {
 		s.BlocksOf[i] = append([]string(nil), keys...)
@@ -417,19 +456,16 @@ func (r *Resolver) Snapshot() *Snapshot {
 	return s
 }
 
-// FromSnapshot rebuilds a resolver from a snapshot, validating the
-// configuration and the index shape: every block member must be a known
-// profile ID and every member list must be in arrival (strictly ascending
-// ID) order, the invariant the compressed posting lists encode. The
+// FromSnapshot validates a snapshot and rebuilds a resolver from it,
+// appending each profile to its keys' posting lists in ID order. The
 // snapshot's data is copied out, so the caller may reuse it. Restoring n
-// profiles costs O(index size) re-encoding but no re-tokenization.
+// profiles costs O(index size) encoding but no re-tokenization.
 func FromSnapshot(s *Snapshot) (*Resolver, error) {
 	if s == nil {
 		return nil, fmt.Errorf("incremental: nil snapshot")
 	}
-	if len(s.BlocksOf) != len(s.Profiles) {
-		return nil, fmt.Errorf("incremental: snapshot has %d profiles but %d block-key lists",
-			len(s.Profiles), len(s.BlocksOf))
+	if err := s.Validate(); err != nil {
+		return nil, err
 	}
 	r, err := NewResolver(s.Config)
 	if err != nil {
@@ -440,19 +476,7 @@ func FromSnapshot(s *Snapshot) (*Resolver, error) {
 	r.blocksOf = make([][]string, n)
 	for i, keys := range s.BlocksOf {
 		r.blocksOf[i] = append([]string(nil), keys...)
-	}
-	for k, members := range s.Blocks {
-		b := new(postings.Builder)
-		for _, id := range members {
-			if int(id) < 0 || int(id) >= n {
-				return nil, fmt.Errorf("incremental: snapshot block %q references profile %d of %d", k, id, n)
-			}
-			if id <= b.Last() {
-				return nil, fmt.Errorf("incremental: snapshot block %q member %d out of arrival order", k, id)
-			}
-			b.Append(id)
-		}
-		r.blocks[k] = b
+		appendPostings(r.blocks, entity.ID(i), keys)
 	}
 	r.cells = make([]scanCell, n)
 	return r, nil

@@ -27,7 +27,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"metablocking/internal/core"
 	"metablocking/internal/entity"
@@ -189,25 +188,18 @@ func (t *Partition) Commit(id entity.ID, p entity.Profile, keys []string) error 
 		copy(kept, keys)
 	}
 	t.blocksOf = append(t.blocksOf, kept)
-	for _, k := range keys {
-		b := t.blocks[k]
-		if b == nil {
-			b = new(postings.Builder)
-			t.blocks[k] = b
-		}
-		b.Append(id)
-	}
+	appendPostings(t.blocks, id, keys)
 	return nil
 }
 
 // PartitionSnapshot is one shard's slice of a resolver snapshot — what
-// internal/store persists as a per-shard segment.
+// internal/store persists as a per-shard segment: the shard's profiles in
+// slot order and their key lists. Like Snapshot it carries no token
+// index; the shard's posting lists are the inverse of BlocksOf.
 type PartitionSnapshot struct {
 	Shard    int
 	Shards   int
 	Profiles []entity.Profile
-	// Blocks maps token → this shard's ascending global member IDs.
-	Blocks   map[string][]entity.ID
 	BlocksOf [][]string
 }
 
@@ -217,11 +209,7 @@ func (t *Partition) Snapshot() *PartitionSnapshot {
 		Shard:    t.index,
 		Shards:   t.shards,
 		Profiles: append([]entity.Profile(nil), t.profiles...),
-		Blocks:   make(map[string][]entity.ID, len(t.blocks)),
 		BlocksOf: make([][]string, len(t.blocksOf)),
-	}
-	for k, b := range t.blocks {
-		s.Blocks[k] = b.AppendTo(make([]entity.ID, 0, b.Len()))
 	}
 	for i, keys := range t.blocksOf {
 		s.BlocksOf[i] = append([]string(nil), keys...)
@@ -230,11 +218,10 @@ func (t *Partition) Snapshot() *PartitionSnapshot {
 }
 
 // MergeSnapshots folds per-shard segments into the canonical global
-// snapshot: profiles re-interleaved into arrival order, each block's
-// member list the ascending union of the shards' disjoint slices. The
-// result is byte-identical to the snapshot a single-index Resolver over
-// the same arrivals would produce — shard count does not leak into the
-// artifact, which is what lets internal/store load either layout into
+// snapshot: profiles and their key lists re-interleaved into arrival
+// order. The result is identical to the snapshot a single-index Resolver
+// over the same arrivals would produce — shard count does not leak into
+// the artifact, which is what lets internal/store load either layout into
 // either serving shape.
 func MergeSnapshots(cfg Config, segs []*PartitionSnapshot) *Snapshot {
 	if cfg.MaxBlockSize == 0 {
@@ -247,7 +234,6 @@ func MergeSnapshots(cfg Config, segs []*PartitionSnapshot) *Snapshot {
 	}
 	snap := &Snapshot{
 		Config: cfg,
-		Blocks: make(map[string][]entity.ID),
 		// Matching Resolver.Snapshot's shapes (nil Profiles on an empty
 		// index, non-nil BlocksOf) keeps reflect.DeepEqual equivalence.
 		BlocksOf: make([][]string, n),
@@ -261,13 +247,6 @@ func MergeSnapshots(cfg Config, segs []*PartitionSnapshot) *Snapshot {
 			snap.Profiles[id] = p
 			snap.BlocksOf[id] = seg.BlocksOf[slot]
 		}
-		for k, members := range seg.Blocks {
-			snap.Blocks[k] = append(snap.Blocks[k], members...)
-		}
-	}
-	for k := range snap.Blocks {
-		ms := snap.Blocks[k]
-		sort.Slice(ms, func(a, b int) bool { return ms[a] < ms[b] })
 	}
 	return snap
 }

@@ -361,6 +361,14 @@ func TestVersionMismatchReload422(t *testing.T) {
 	assertReload422(t, path)
 }
 
+// TestVersionOneReload422: a resolver artifact of format version 1 —
+// the gob payload that stored the token index — is refused as a version
+// mismatch through /v1/admin/reload: 422 and one corrupt-load count. The
+// file is store's testdata fixture, written by that format's writer.
+func TestVersionOneReload422(t *testing.T) {
+	assertReload422(t, filepath.Join("..", "store", "testdata", "resolver-v1.snap"))
+}
+
 // TestRawGobReload422: a resolver artifact without the checksummed
 // container — the pre-container raw-gob format — is rejected like any
 // other corruption, never gob-decoded blind (the typed error is pinned by

@@ -74,6 +74,7 @@ const (
 	GaugeProfiles    = "server.profiles"
 	GaugeQueueCap    = "server.queue_cap"
 	GaugeDegraded    = "server.degraded"
+	GaugeReloadUs    = "server.reload_us"
 	TextLastError    = "server.last_error"
 )
 
@@ -409,6 +410,7 @@ func New(cfg Config, opts ...Option) (*Server, error) {
 	s.metrics.Gauge(GaugeQueueCap).Set(int64(cfg.QueueDepth))
 	s.metrics.Gauge(GaugeProfiles).Set(0)
 	s.metrics.Gauge(GaugeDegraded).Set(0)
+	s.metrics.Gauge(GaugeReloadUs).Set(0)
 	if cfg.DiskDir != "" && !cfg.WALDisabled {
 		s.walAlways = cfg.WALSync == WALSyncAlways
 		if cfg.WALSync == WALSyncInterval {
@@ -587,8 +589,10 @@ func (s *Server) Generation() uint64 { return s.generation.Load() }
 // layout — a plain "resolver" artifact or a sharded manifest+segments.
 // The artifact is fully loaded and verified BEFORE the swap: a corrupt
 // or version-mismatched file leaves the live index untouched (the HTTP
-// layer maps it to 422).
+// layer maps it to 422). A successful reload sets the server.reload_us
+// gauge to its duration, load plus build.
 func (s *Server) ReloadFile(path string) (int, error) {
+	start := time.Now()
 	snap, err := store.LoadAnyResolverFile(path)
 	if err != nil {
 		if errors.Is(err, store.ErrCorruptArtifact) || errors.Is(err, store.ErrVersionMismatch) {
@@ -601,7 +605,11 @@ func (s *Server) ReloadFile(path string) (int, error) {
 		return 0, fmt.Errorf("%w: snapshot %v, serving %v",
 			ErrSchemeMismatch, snap.Config.Scheme, s.cfg.Resolver.Scheme)
 	}
-	return s.Reload(snap)
+	n, err := s.Reload(snap)
+	if err == nil {
+		s.metrics.Gauge(GaugeReloadUs).Set(time.Since(start).Microseconds())
+	}
+	return n, err
 }
 
 // Size returns the number of profiles in the serving index.

@@ -694,6 +694,60 @@ func TestSnapshotOfServingIndex(t *testing.T) {
 	}
 }
 
+// TestReloadDurationGauge: a successful ReloadFile records its duration,
+// load plus build, in server.reload_us, listed at /metrics and
+// /debug/vars; a refused one leaves the last good reload's figure.
+func TestReloadDurationGauge(t *testing.T) {
+	s := newTestServer(t, Config{Resolver: incremental.Config{Scheme: core.JS, K: 5}})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, p := range testProfiles(t, 20) {
+		if _, err := s.Resolve(context.Background(), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Metrics().Gauge(GaugeReloadUs).Value(); got != 0 {
+		t.Fatalf("reload_us before any reload = %d, want 0", got)
+	}
+	path := filepath.Join(t.TempDir(), "serving.snap")
+	if err := store.SaveResolverFile(path, s.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ReloadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	us := s.Metrics().Gauge(GaugeReloadUs).Value()
+	if us <= 0 {
+		t.Fatalf("reload_us after ReloadFile = %d, want > 0", us)
+	}
+	if _, err := s.ReloadFile(filepath.Join(t.TempDir(), "missing.snap")); err == nil {
+		t.Fatal("missing snapshot reloaded")
+	}
+	if got := s.Metrics().Gauge(GaugeReloadUs).Value(); got != us {
+		t.Fatalf("refused reload moved reload_us from %d to %d", us, got)
+	}
+
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !bytes.Contains(metrics, []byte(GaugeReloadUs)) {
+		t.Fatalf("/metrics lacks %s:\n%s", GaugeReloadUs, metrics)
+	}
+	resp, err = ts.Client().Get(ts.URL + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vars struct{ Gauges map[string]int64 }
+	err = json.NewDecoder(resp.Body).Decode(&vars)
+	resp.Body.Close()
+	if err != nil || vars.Gauges[GaugeReloadUs] != us {
+		t.Fatalf("/debug/vars %s = %d (%v), want %d", GaugeReloadUs, vars.Gauges[GaugeReloadUs], err, us)
+	}
+}
+
 // TestSnapshotEndpoint drives the persist→reload loop entirely over HTTP:
 // /v1/admin/snapshot writes the serving index to disk, /v1/admin/reload
 // swaps it back in.

@@ -934,16 +934,15 @@ func (g *Group) Snapshot() *incremental.Snapshot {
 
 // FromSnapshot rebuilds a group from a canonical snapshot, routing each
 // profile to its home shard. The snapshot's Config overrides
-// cfg.Resolver, mirroring incremental.FromSnapshot; its block index is
-// validated against the per-profile key lists so a corrupted artifact is
-// refused rather than silently skewing weights.
+// cfg.Resolver, mirroring incremental.FromSnapshot, and the snapshot must
+// pass the same Validate, so a Blocks that disagrees with the key lists
+// is refused rather than silently skewing weights.
 func FromSnapshot(s *incremental.Snapshot, cfg Config) (*Group, error) {
 	if s == nil {
 		return nil, fmt.Errorf("shard: nil snapshot")
 	}
-	if len(s.BlocksOf) != len(s.Profiles) {
-		return nil, fmt.Errorf("shard: snapshot has %d profiles but %d block-key lists",
-			len(s.Profiles), len(s.BlocksOf))
+	if err := s.Validate(); err != nil {
+		return nil, err
 	}
 	if s.Config.Scheme == core.EJS {
 		return nil, incremental.ErrUnsupportedScheme
@@ -964,19 +963,6 @@ func FromSnapshot(s *incremental.Snapshot, cfg Config) (*Group, error) {
 		}
 	}
 	g.size = len(s.Profiles)
-	// Cross-check the snapshot's own block index against what the key
-	// lists imply — the sharded analogue of FromSnapshot's member
-	// validation.
-	if len(s.Blocks) != len(g.blockSize) {
-		return nil, fmt.Errorf("shard: snapshot has %d blocks but key lists imply %d",
-			len(s.Blocks), len(g.blockSize))
-	}
-	for k, members := range s.Blocks {
-		if len(members) != g.blockSize[k] {
-			return nil, fmt.Errorf("shard: snapshot block %q has %d members but key lists imply %d",
-				k, len(members), g.blockSize[k])
-		}
-	}
 	g.start()
 	return g, nil
 }

@@ -278,8 +278,20 @@ func TestFromSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("segment round trip diverged")
 	}
 
-	// Corrupt snapshot refused: drop a block member.
+	// A Blocks that is exactly the key lists' inverse is accepted...
 	bad := g3.Snapshot()
+	bad.Blocks = make(map[string][]entity.ID)
+	for i, keys := range bad.BlocksOf {
+		for _, k := range keys {
+			bad.Blocks[k] = append(bad.Blocks[k], entity.ID(i))
+		}
+	}
+	exact, err := FromSnapshot(bad, Config{Shards: 2})
+	if err != nil {
+		t.Fatalf("exact inverse refused: %v", err)
+	}
+	exact.Close()
+	// ...and one missing a member refused.
 	for k, ms := range bad.Blocks {
 		if len(ms) > 1 {
 			bad.Blocks[k] = ms[:len(ms)-1]

@@ -10,9 +10,11 @@ import (
 	"strings"
 	"testing"
 
+	"metablocking/internal/core"
 	"metablocking/internal/entity"
 	"metablocking/internal/fault"
 	"metablocking/internal/incremental"
+	"metablocking/internal/paperexample"
 )
 
 // classified asserts an error wraps one of the two artifact sentinels.
@@ -99,7 +101,7 @@ func TestTruncationAtEveryFooterBoundary(t *testing.T) {
 }
 
 // TestVersionMismatchClassified covers both version fences: the container
-// version byte and the per-kind gob envelope version.
+// version byte and the per-kind envelope version.
 func TestVersionMismatchClassified(t *testing.T) {
 	path, raw := saveGood(t)
 	bad := append([]byte(nil), raw...)
@@ -114,7 +116,7 @@ func TestVersionMismatchClassified(t *testing.T) {
 	// A future artifact version inside a valid container.
 	future := filepath.Join(t.TempDir(), "future.snap")
 	err := saveFileAtomic(future, func(w io.Writer) error {
-		return writeArtifact(w, "resolver", resolverVersion+1, storedResolver{})
+		return writeBody(w, resolverKind, resolverVersion+1, nil)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -203,12 +205,33 @@ func TestAtomicSaveSurvivesInjectedFaults(t *testing.T) {
 	}
 }
 
-// testSnapshotDoubled returns a snapshot distinguishable from testSnapshot.
+// testSnapshotDoubled returns a well-formed snapshot distinguishable from
+// testSnapshot: the paper example resolved twice over.
 func testSnapshotDoubled(t *testing.T) *incremental.Snapshot {
 	t.Helper()
-	s := testSnapshot(t)
-	s.Profiles = append(s.Profiles, s.Profiles...)
-	return s
+	r, err := incremental.NewResolver(incremental.Config{Scheme: core.JS, K: 5, MaxBlockSize: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.AddBatch(paperexample.Collection().Profiles)
+	r.AddBatch(paperexample.Collection().Profiles)
+	return r.Snapshot()
+}
+
+// TestVersionOneRefused: artifacts of format version 1 — the gob
+// payloads that stored the token index beside the key lists, kept in
+// testdata as written by that format's writer — are refused as a version
+// mismatch, plain and sharded alike. No version-1 decoder is kept.
+func TestVersionOneRefused(t *testing.T) {
+	for _, name := range []string{"resolver-v1.snap", "sharded-v1.snap"} {
+		_, err := LoadAnyResolverFile(filepath.Join("testdata", name))
+		if !errors.Is(err, ErrVersionMismatch) {
+			t.Errorf("%s: %v, want ErrVersionMismatch", name, err)
+		}
+	}
+	if _, _, err := LoadShardedResolverFile(filepath.Join("testdata", "sharded-v1.snap")); !errors.Is(err, ErrVersionMismatch) {
+		t.Errorf("sharded-v1.snap segments: %v, want ErrVersionMismatch", err)
+	}
 }
 
 // TestInjectedLoadFault: the read-side site surfaces as a plain error so

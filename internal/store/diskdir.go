@@ -40,7 +40,6 @@ import (
 	"metablocking/internal/core"
 	"metablocking/internal/entity"
 	"metablocking/internal/incremental"
-	"metablocking/internal/postings"
 )
 
 const (
@@ -465,7 +464,6 @@ func LoadDiskDir(root string) (*incremental.Snapshot, error) {
 		ps := &incremental.PartitionSnapshot{
 			Shard:    k,
 			Shards:   layout.Shards,
-			Blocks:   make(map[string][]entity.ID),
 			BlocksOf: make([][]string, 0),
 		}
 		var scratch []byte
@@ -479,15 +477,6 @@ func LoadDiskDir(root string) (*incremental.Snapshot, error) {
 				}
 				ps.Profiles = append(ps.Profiles, profiles...)
 				ps.BlocksOf = append(ps.BlocksOf, keys...)
-			}
-			for ti, tok := range seg.Tokens() {
-				ref := seg.Ref(ti)
-				scratch, err = seg.ReadPage(int(ref.Page), scratch)
-				if err != nil {
-					return nil, err
-				}
-				enc := scratch[ref.Off : ref.Off+ref.Len]
-				ps.Blocks[tok] = postings.AppendDecoded(ps.Blocks[tok], enc, int(ref.Count))
 			}
 		}
 		segs[k] = ps
@@ -504,9 +493,6 @@ func LoadDiskDir(root string) (*incremental.Snapshot, error) {
 		ps := segs[int(rec.ID)%layout.Shards]
 		ps.Profiles = append(ps.Profiles, rec.Profile)
 		ps.BlocksOf = append(ps.BlocksOf, append([]string(nil), rec.Keys...))
-		for _, key := range rec.Keys {
-			ps.Blocks[key] = append(ps.Blocks[key], rec.ID)
-		}
 	}
 	return incremental.MergeSnapshots(cfg, segs), nil
 }

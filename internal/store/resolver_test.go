@@ -2,12 +2,14 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"metablocking/internal/core"
+	"metablocking/internal/datagen"
 	"metablocking/internal/entity"
 	"metablocking/internal/incremental"
 	"metablocking/internal/paperexample"
@@ -29,7 +31,7 @@ func TestResolverRoundTrip(t *testing.T) {
 	if err := WriteResolver(&buf, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadResolver(&buf)
+	got, err := readResolver(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +82,11 @@ func TestResolverFileHelpers(t *testing.T) {
 
 func TestResolverVersionMismatchRejected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeArtifact(&buf, "resolver", resolverVersion+1, storedResolver{}); err != nil {
+	if err := writeBody(&buf, resolverKind, resolverVersion+1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadResolver(&buf); err == nil {
-		t.Fatal("future version accepted")
+	if _, err := readResolver(buf.Bytes()); !errors.Is(err, ErrVersionMismatch) {
+		t.Fatalf("future version: %v, want ErrVersionMismatch", err)
 	}
 }
 
@@ -93,7 +95,7 @@ func TestResolverKindMismatchRejected(t *testing.T) {
 	if err := writePairs(&buf, []entity.Pair{{A: 1, B: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadResolver(&buf); err == nil {
+	if _, err := readResolver(buf.Bytes()); err == nil {
 		t.Fatal("pairs artifact accepted as resolver snapshot")
 	}
 }
@@ -110,22 +112,64 @@ func TestResolverTruncatedRejected(t *testing.T) {
 		if n >= len(whole) {
 			continue
 		}
-		if _, err := ReadResolver(bytes.NewReader(whole[:n])); err == nil {
-			t.Fatalf("truncation at %d/%d bytes accepted", n, len(whole))
+		if _, err := readResolver(whole[:n]); !errors.Is(err, ErrCorruptArtifact) {
+			t.Fatalf("truncation at %d/%d bytes: %v, want ErrCorruptArtifact", n, len(whole), err)
 		}
 	}
-	if _, err := ReadResolver(bytes.NewReader(nil)); err == nil {
+	if _, err := readResolver(nil); err == nil {
 		t.Fatal("empty input accepted")
 	}
-	// Inconsistent member-list shape is rejected even at the right version.
-	var bad bytes.Buffer
-	if err := writeArtifact(&bad, "resolver", resolverVersion, storedResolver{
-		BlockKeys:    []string{"a", "b"},
-		BlockMembers: [][]entity.ID{{0}},
-	}); err != nil {
+}
+
+// TestWriterRefusesMalformedSnapshots: a snapshot whose key lists do not
+// match its profiles, or whose optional Blocks is not their inverse, is
+// an error from both writers — never a panic, never bytes that drop the
+// disagreement.
+func TestWriterRefusesMalformedSnapshots(t *testing.T) {
+	short := testSnapshot(t)
+	short.BlocksOf = short.BlocksOf[:len(short.BlocksOf)-1]
+	skewed := testSnapshot(t)
+	skewed.Blocks = map[string][]entity.ID{skewed.BlocksOf[0][0]: {0}}
+	twice := testSnapshot(t)
+	twice.BlocksOf[1] = append(twice.BlocksOf[1], twice.BlocksOf[1][0])
+	for name, s := range map[string]*incremental.Snapshot{"short key lists": short, "skewed blocks": skewed, "key twice": twice} {
+		var buf bytes.Buffer
+		if err := WriteResolver(&buf, s); err == nil {
+			t.Errorf("%s: written", name)
+		}
+		seg := &incremental.PartitionSnapshot{Shards: 1, Profiles: s.Profiles, BlocksOf: s.BlocksOf}
+		if name != "skewed blocks" {
+			if err := writeShardSegment(&buf, 1, seg); err == nil {
+				t.Errorf("%s: segment written", name)
+			}
+		}
+	}
+}
+
+// TestReadResolverAllocs: decoding allocates a constant number of
+// objects, not a few per profile — one string copy each for the key
+// dictionary and the profiles, and one backing array per slice kind.
+func TestReadResolverAllocs(t *testing.T) {
+	r, err := incremental.NewResolver(incremental.Config{Scheme: core.JS, K: 5})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadResolver(&bad); err == nil {
-		t.Fatal("mismatched key/member lists accepted")
+	const n = 2000
+	r.AddBatch(datagen.D1D(0.5).Collection.Profiles[:n])
+	var buf bytes.Buffer
+	if err := WriteResolver(&buf, r.Snapshot()); err != nil {
+		t.Fatal(err)
 	}
+	payload := buf.Bytes()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := readResolver(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The gob envelope costs about 150, the body about ten; a
+	// per-profile allocation would cost n more.
+	if limit := float64(n / 4); allocs > limit {
+		t.Fatalf("decoding %d profiles made %.0f allocations, want ≤ %.0f", n, allocs, limit)
+	}
+	t.Logf("decoding %d profiles: %.0f allocations", n, allocs)
 }

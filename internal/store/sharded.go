@@ -27,19 +27,19 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
 	"metablocking/internal/core"
-	"metablocking/internal/entity"
 	"metablocking/internal/incremental"
 	"metablocking/internal/par"
 )
 
+// Segments carry the resolver artifact's body (body.go) and the manifest
+// a gob value.
 const (
 	shardManifestVersion = 1
-	shardSegmentVersion  = 1
+	shardSegmentVersion  = 2
 
 	shardManifestKind = "resolver-shards"
 	shardSegmentKind  = "resolver-shard"
@@ -55,21 +55,6 @@ type storedShardManifest struct {
 	MinTokenLength int
 	Shards         int
 	Generation     uint64
-}
-
-// storedShardSegment mirrors incremental.PartitionSnapshot for gob, with
-// the block index flattened into sorted parallel slices so the same
-// segment always serializes to the same bytes (map iteration order would
-// not).
-type storedShardSegment struct {
-	Shard      int
-	Shards     int
-	Generation uint64
-	Profiles   []entity.Profile
-	BlockKeys  []string
-	// BlockMembers[i] lists the shard-owned member IDs of BlockKeys[i].
-	BlockMembers [][]entity.ID
-	BlocksOf     [][]string
 }
 
 // segmentPath names shard k's segment file of the given generation.
@@ -122,23 +107,11 @@ func SaveShardedResolverFile(path string, cfg incremental.Config, segs []*increm
 }
 
 func writeShardSegment(w io.Writer, gen uint64, seg *incremental.PartitionSnapshot) error {
-	ss := storedShardSegment{
-		Shard:      seg.Shard,
-		Shards:     seg.Shards,
-		Generation: gen,
-		Profiles:   seg.Profiles,
-		BlocksOf:   seg.BlocksOf,
+	body, err := appendSegmentBody(nil, gen, seg)
+	if err != nil {
+		return err
 	}
-	ss.BlockKeys = make([]string, 0, len(seg.Blocks))
-	for k := range seg.Blocks {
-		ss.BlockKeys = append(ss.BlockKeys, k)
-	}
-	sort.Strings(ss.BlockKeys)
-	ss.BlockMembers = make([][]entity.ID, len(ss.BlockKeys))
-	for i, k := range ss.BlockKeys {
-		ss.BlockMembers[i] = seg.Blocks[k]
-	}
-	return writeArtifact(w, shardSegmentKind, shardSegmentVersion, ss)
+	return writeBody(w, shardSegmentKind, shardSegmentVersion, body)
 }
 
 // nextGeneration picks the generation for a new sharded save: one past
@@ -213,12 +186,23 @@ func LoadShardedResolverFile(path string) (incremental.Config, []*incremental.Pa
 		MinTokenLength: m.MinTokenLength,
 	}
 	segs := make([]*incremental.PartitionSnapshot, m.Shards)
+	n := 0
 	for k := 0; k < m.Shards; k++ {
 		seg, err := loadShardSegment(segmentPath(path, m.Generation, k), k, m)
 		if err != nil {
 			return cfg, nil, err
 		}
 		segs[k] = seg
+		n += len(seg.Profiles)
+	}
+	// Profile IDs are dense and placed modulo the shard count, so shard k
+	// of n profiles holds ⌈(n−k)/shards⌉ of them; anything else would not
+	// merge into one arrival order.
+	for k, seg := range segs {
+		if want := (n - k + m.Shards - 1) / m.Shards; len(seg.Profiles) != want {
+			return cfg, nil, fmt.Errorf("store: segment %d holds %d of %d profiles, want %d: %w",
+				k, len(seg.Profiles), n, want, ErrCorruptArtifact)
+		}
 	}
 	return cfg, segs, nil
 }
@@ -231,27 +215,17 @@ func loadShardSegment(segPath string, k int, m storedShardManifest) (*incrementa
 		}
 		return nil, err
 	}
-	var ss storedShardSegment
-	if err := readArtifact(bytes.NewReader(payload), shardSegmentKind, shardSegmentVersion, &ss); err != nil {
+	body, err := openBody(payload, shardSegmentKind, shardSegmentVersion)
+	if err != nil {
 		return nil, err
 	}
-	if ss.Shard != k || ss.Shards != m.Shards || ss.Generation != m.Generation {
+	seg, gen, err := decodeSegmentBody(body)
+	if err != nil {
+		return nil, fmt.Errorf("store: %s: decoding %s: %w", segPath, shardSegmentKind, err)
+	}
+	if seg.Shard != k || seg.Shards != m.Shards || gen != m.Generation {
 		return nil, fmt.Errorf("store: %s: segment labeled shard %d/%d gen %d, manifest wants %d/%d gen %d: %w",
-			segPath, ss.Shard, ss.Shards, ss.Generation, k, m.Shards, m.Generation, ErrCorruptArtifact)
-	}
-	if len(ss.BlockKeys) != len(ss.BlockMembers) {
-		return nil, fmt.Errorf("store: %s: %d block keys but %d member lists: %w",
-			segPath, len(ss.BlockKeys), len(ss.BlockMembers), ErrCorruptArtifact)
-	}
-	seg := &incremental.PartitionSnapshot{
-		Shard:    ss.Shard,
-		Shards:   ss.Shards,
-		Profiles: ss.Profiles,
-		Blocks:   make(map[string][]entity.ID, len(ss.BlockKeys)),
-		BlocksOf: ss.BlocksOf,
-	}
-	for i, k := range ss.BlockKeys {
-		seg.Blocks[k] = ss.BlockMembers[i]
+			segPath, seg.Shard, seg.Shards, gen, k, m.Shards, m.Generation, ErrCorruptArtifact)
 	}
 	return seg, nil
 }
@@ -280,7 +254,7 @@ func LoadAnyResolverFile(path string) (*incremental.Snapshot, error) {
 		}
 		return incremental.MergeSnapshots(cfg, segs), nil
 	default:
-		return ReadResolver(bytes.NewReader(payload))
+		return readResolver(payload)
 	}
 }
 

@@ -50,7 +50,6 @@ func partitionSnapshotsOf(s *incremental.Snapshot, shards int) ([]*incremental.P
 		segs[i] = &incremental.PartitionSnapshot{
 			Shard:    i,
 			Shards:   shards,
-			Blocks:   make(map[string][]entity.ID),
 			BlocksOf: make([][]string, 0),
 		}
 	}
@@ -58,12 +57,6 @@ func partitionSnapshotsOf(s *incremental.Snapshot, shards int) ([]*incremental.P
 		seg := segs[incremental.ShardOf(entity.ID(id), shards)]
 		seg.Profiles = append(seg.Profiles, p)
 		seg.BlocksOf = append(seg.BlocksOf, s.BlocksOf[id])
-	}
-	for key, members := range s.Blocks {
-		for _, id := range members {
-			seg := segs[incremental.ShardOf(id, shards)]
-			seg.Blocks[key] = append(seg.Blocks[key], id)
-		}
 	}
 	return segs, nil
 }
@@ -238,6 +231,21 @@ func TestShardedCorruption(t *testing.T) {
 		}
 		if _, _, err := LoadShardedResolverFile(path); !errors.Is(err, ErrCorruptArtifact) {
 			t.Fatalf("swapped segments: err = %v, want ErrCorruptArtifact", err)
+		}
+	})
+	// Well-formed segments whose profile counts cannot interleave into
+	// one dense arrival order are refused, not merged out of range.
+	t.Run("unbalanced", func(t *testing.T) {
+		moved := []*incremental.PartitionSnapshot{
+			{Shard: 0, Shards: 2, Profiles: segs[0].Profiles, BlocksOf: segs[0].BlocksOf},
+			{Shard: 1, Shards: 2, Profiles: segs[1].Profiles[:len(segs[1].Profiles)-2], BlocksOf: segs[1].BlocksOf[:len(segs[1].BlocksOf)-2]},
+		}
+		path := filepath.Join(t.TempDir(), "resolver.snap")
+		if err := SaveShardedResolverFile(path, cfg, moved); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadAnyResolverFile(path); !errors.Is(err, ErrCorruptArtifact) {
+			t.Fatalf("unbalanced segments: err = %v, want ErrCorruptArtifact", err)
 		}
 	})
 }

@@ -1,8 +1,12 @@
 // Package store persists the pipeline's artifacts — block collections and
-// resolver snapshots — in a compact self-describing binary format
-// (encoding/gob with a versioned envelope). Blocking a large collection
-// once and re-running meta-blocking configurations against the saved
-// blocks is the intended workflow.
+// resolver snapshots — in a compact self-describing binary format. Every
+// artifact opens with a versioned gob envelope naming its kind. Block
+// collections and manifests follow it with a gob value; resolver
+// snapshots and their per-shard segments with a hand-encoded body of
+// uvarints and length-prefixed strings (body.go) that stores each
+// profile's key list, not the token index derived from them. Blocking a
+// large collection once and re-running meta-blocking configurations
+// against the saved blocks is the intended workflow.
 //
 // The file-level helpers (SaveResolverFile, SaveBlocksFile and their Load
 // counterparts) are crash-safe: artifacts are written to a temp file in
@@ -10,7 +14,7 @@
 // CRC32-C footer), fsynced, renamed into place, and the directory is
 // fsynced — so a crash at any instant leaves either the previous artifact
 // or the new one at the final path, never a torn file. Loads verify the
-// checksum before a single byte reaches the gob decoder and classify
+// checksum before a single byte reaches a decoder and classify
 // failures with the ErrCorruptArtifact / ErrVersionMismatch sentinels;
 // a file without the container magic is corrupt, never decoded blind.
 package store
@@ -26,11 +30,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync/atomic"
 
 	"metablocking/internal/block"
-	"metablocking/internal/core"
 	"metablocking/internal/entity"
 	"metablocking/internal/fault"
 	"metablocking/internal/incremental"
@@ -73,14 +75,18 @@ func SetInjector(in *fault.Injector) { injector.Store(in) }
 
 func inj() *fault.Injector { return injector.Load() }
 
-// format versions, one per artifact kind. Bump on incompatible changes.
+// format versions, one per artifact kind. Bump on incompatible changes;
+// no decoder is kept for an older version, whose files are refused as
+// ErrVersionMismatch.
 const (
 	blocksVersion   = 1
-	resolverVersion = 1
+	resolverVersion = 2
+
+	resolverKind = "resolver"
 )
 
 // Checksummed container framing: header magic + container version, then
-// the gob artifact, then a footer with the payload length, its CRC32-C
+// the artifact, then a footer with the payload length, its CRC32-C
 // and a closing magic. The footer-last layout means a torn write is
 // detectable no matter where it tore.
 const (
@@ -115,6 +121,16 @@ func writeArtifact(w io.Writer, kind string, version int, payload any) error {
 
 func readArtifact(r io.Reader, kind string, version int, payload any) error {
 	dec := gob.NewDecoder(bufio.NewReader(r))
+	if err := readEnvelope(dec, kind, version); err != nil {
+		return err
+	}
+	if err := dec.Decode(payload); err != nil {
+		return fmt.Errorf("store: decoding %s: %v: %w", kind, err, ErrCorruptArtifact)
+	}
+	return nil
+}
+
+func readEnvelope(dec *gob.Decoder, kind string, version int) error {
 	var env envelope
 	if err := dec.Decode(&env); err != nil {
 		return fmt.Errorf("store: reading header: %v: %w", err, ErrCorruptArtifact)
@@ -125,10 +141,28 @@ func readArtifact(r io.Reader, kind string, version int, payload any) error {
 	if env.Version != version {
 		return fmt.Errorf("store: %s version %d unsupported (want %d): %w", kind, env.Version, version, ErrVersionMismatch)
 	}
-	if err := dec.Decode(payload); err != nil {
-		return fmt.Errorf("store: decoding %s: %v: %w", kind, err, ErrCorruptArtifact)
-	}
 	return nil
+}
+
+// writeBody writes an artifact whose payload is the gob envelope followed
+// by a hand-encoded body (body.go) rather than a gob value.
+func writeBody(w io.Writer, kind string, version int, body []byte) error {
+	if err := gob.NewEncoder(w).Encode(envelope{Kind: kind, Version: version}); err != nil {
+		return fmt.Errorf("store: encoding %s header: %w", kind, err)
+	}
+	_, err := w.Write(body)
+	return err
+}
+
+// openBody checks the gob envelope at the head of payload and returns the
+// bytes after it, not copied. A bytes.Reader is an io.ByteReader, so the
+// gob decoder reads exactly the envelope's messages and no further.
+func openBody(payload []byte, kind string, version int) ([]byte, error) {
+	rd := bytes.NewReader(payload)
+	if err := readEnvelope(gob.NewDecoder(rd), kind, version); err != nil {
+		return nil, err
+	}
+	return payload[len(payload)-rd.Len():], nil
 }
 
 // storedBlocks mirrors block.Collection for gob.
@@ -163,67 +197,33 @@ func ReadBlocks(r io.Reader) (*block.Collection, error) {
 	}, nil
 }
 
-// storedResolver mirrors incremental.Snapshot for gob. The block index is
-// flattened into parallel key/member slices, sorted by key, so the same
-// snapshot always serializes to the same bytes (gob map encoding would
-// follow Go's randomized map iteration).
-type storedResolver struct {
-	Scheme         int
-	K              int
-	MaxBlockSize   int
-	MinTokenLength int
-	Profiles       []entity.Profile
-	BlockKeys      []string
-	BlockMembers   [][]entity.ID
-	BlocksOf       [][]string
-}
-
 // WriteResolver persists an incremental-resolver snapshot — the artifact
-// cmd/serve loads at startup and hot-swaps via /v1/admin/reload.
+// cmd/serve loads at startup and hot-swaps via /v1/admin/reload. The body
+// (body.go) holds the configuration and each profile's key list; the
+// token index is not stored. A snapshot whose key lists do not match its
+// profiles, or whose optional Blocks is not their inverse, is refused.
 func WriteResolver(w io.Writer, s *incremental.Snapshot) error {
-	sr := storedResolver{
-		Scheme:         int(s.Config.Scheme),
-		K:              s.Config.K,
-		MaxBlockSize:   s.Config.MaxBlockSize,
-		MinTokenLength: s.Config.MinTokenLength,
-		Profiles:       s.Profiles,
-		BlocksOf:       s.BlocksOf,
+	if err := s.Validate(); err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
-	sr.BlockKeys = make([]string, 0, len(s.Blocks))
-	for k := range s.Blocks {
-		sr.BlockKeys = append(sr.BlockKeys, k)
+	body, err := appendResolverBody(nil, s)
+	if err != nil {
+		return err
 	}
-	sort.Strings(sr.BlockKeys)
-	sr.BlockMembers = make([][]entity.ID, len(sr.BlockKeys))
-	for i, k := range sr.BlockKeys {
-		sr.BlockMembers[i] = s.Blocks[k]
-	}
-	return writeArtifact(w, "resolver", resolverVersion, sr)
+	return writeBody(w, resolverKind, resolverVersion, body)
 }
 
-// ReadResolver loads an incremental-resolver snapshot.
-func ReadResolver(r io.Reader) (*incremental.Snapshot, error) {
-	var sr storedResolver
-	if err := readArtifact(r, "resolver", resolverVersion, &sr); err != nil {
+// readResolver decodes a verified "resolver" artifact payload in place:
+// the body is parsed straight from payload, which the snapshot does not
+// alias.
+func readResolver(payload []byte) (*incremental.Snapshot, error) {
+	body, err := openBody(payload, resolverKind, resolverVersion)
+	if err != nil {
 		return nil, err
 	}
-	if len(sr.BlockKeys) != len(sr.BlockMembers) {
-		return nil, fmt.Errorf("store: resolver snapshot has %d block keys but %d member lists: %w",
-			len(sr.BlockKeys), len(sr.BlockMembers), ErrCorruptArtifact)
-	}
-	s := &incremental.Snapshot{
-		Config: incremental.Config{
-			Scheme:         core.Scheme(sr.Scheme),
-			K:              sr.K,
-			MaxBlockSize:   sr.MaxBlockSize,
-			MinTokenLength: sr.MinTokenLength,
-		},
-		Profiles: sr.Profiles,
-		Blocks:   make(map[string][]entity.ID, len(sr.BlockKeys)),
-		BlocksOf: sr.BlocksOf,
-	}
-	for i, k := range sr.BlockKeys {
-		s.Blocks[k] = sr.BlockMembers[i]
+	s, err := decodeResolverBody(body)
+	if err != nil {
+		return nil, fmt.Errorf("store: decoding %s: %w", resolverKind, err)
 	}
 	return s, nil
 }
