@@ -1,13 +1,14 @@
 // Command serve runs the online Entity Resolution query service: an
-// HTTP/JSON façade over the incremental resolver that micro-batches
+// HTTP/JSON façade over the incremental index that micro-batches
 // concurrent /v1/resolve requests into single index passes, sheds load
 // with 429 + Retry-After when its bounded admission queue fills, and
 // hot-swaps pre-blocked snapshots (written by internal/store) via
 // /v1/admin/reload without failing in-flight requests.
 //
-// With -shards N (N > 1) the index is partitioned into N single-writer
-// shards behind a scatter-gather coordinator; answers stay bit-identical
-// to the single-index configuration at every shard count.
+// The index is a scatter-gather shard group (internal/shard) at every
+// -shards count: the default 1 runs on the server's batcher goroutine,
+// N > 1 partitions it into N single-writer shard actors. Answers are
+// bit-identical to the serial incremental resolver at every count.
 //
 // With -disk-dir the index is out-of-core: recent arrivals live in
 // per-shard memtables, sealed history in paged, checksummed segment
@@ -51,6 +52,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -117,7 +119,7 @@ func main() {
 	flag.IntVar(&opts.maxBlock, "maxblock", 1000, "ignore blocks larger than this")
 	flag.IntVar(&opts.minToken, "min-token", 0, "drop tokens shorter than this at blocking time")
 	flag.IntVar(&opts.shards, "shards", 1, "index partitions behind the scatter-gather coordinator (answers are identical at every count)")
-	flag.IntVar(&opts.shardQueue, "shard-queue", 2, "per-shard admission queue bound when -shards > 1")
+	flag.IntVar(&opts.shardQueue, "shard-queue", 2, "per-shard actor admission queue bound (-shards > 1, or -disk-dir)")
 	flag.StringVar(&opts.diskDir, "disk-dir", "", "serve the out-of-core index from this directory (recovered at startup; empty = in-memory)")
 	flag.IntVar(&opts.memBudget, "memtable-budget", 32<<20, "per-shard memtable bytes before an automatic checkpoint (-disk-dir mode)")
 	flag.IntVar(&opts.diskCache, "disk-cache", 8<<20, "per-shard posting-page cache bytes (-disk-dir mode)")
@@ -218,6 +220,9 @@ func run(ctx context.Context, opts options, logw io.Writer, ready chan<- string)
 		}
 		fmt.Fprintf(logw, "serve: loaded snapshot %s (%d profiles) in %d ms\n",
 			opts.snapshot, n, srv.Metrics().Gauge(server.GaugeReloadUs).Value()/1000)
+		// Collect the decoded artifact's garbage now, before the listener
+		// opens, rather than during the first requests.
+		runtime.GC()
 	}
 
 	ln, err := net.Listen("tcp", opts.addr)

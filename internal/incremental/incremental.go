@@ -67,10 +67,10 @@ type scanCell struct {
 }
 
 // Resolver incrementally blocks profiles and emits pruned candidate
-// comparisons. It is not safe for concurrent use: callers that serve
-// concurrent traffic must serialize Add/AddBatch behind a single writer
-// and fence reads (Size, Profile, Snapshot) from mutations, as
-// internal/server's single-writer/multi-reader façade does.
+// comparisons. It is the serial reference that shard.Group, the serving
+// index, is pinned bit-identical to, and cmd/stream and the public API
+// run it. It is not safe for concurrent use: callers must serialize
+// Add/AddBatch and fence reads (Size, Profile, Snapshot) from mutations.
 type Resolver struct {
 	cfg Config
 
@@ -193,11 +193,10 @@ func appendPostings(blocks map[string]*postings.Builder, id entity.ID, keys []st
 
 // Peek computes the pruned candidates the profile would receive from Add,
 // without mutating the index: no ID is assigned, no block gains a member.
-// It is the read-only resolve behind the serving layer's degraded mode,
-// which keeps answering from the last good index while the write path is
-// failing. Like Add it is not safe for concurrent use (it shares the
-// ScanCount scratch). The error is always nil; the signature is the
-// Index contract's, where sharded implementations can fail.
+// It is the serial reference of shard.Group.Peek, the read-only resolve
+// behind the serving layer's degraded mode. Like Add it is not safe for
+// concurrent use (it shares the ScanCount scratch). The error is always
+// nil; the signature is the group's, whose shards can fail.
 func (r *Resolver) Peek(p entity.Profile) ([]Candidate, error) {
 	return r.collect(r.tokenKeys(p), -1), nil
 }
@@ -222,9 +221,8 @@ func (r *Resolver) PeekExcluding(p entity.Profile, exclude entity.ID) ([]Candida
 }
 
 // LastWeighed returns how many neighbors the most recent
-// Add/Peek/Resolve weighed before pruning — the single-index analogue of
-// the shard coordinator's gather hook, feeding the serving layer's
-// comparison accounting.
+// Add/Peek/Resolve weighed before pruning — the serial reference of the
+// weighed counts the shard coordinator's gather hook reports.
 func (r *Resolver) LastWeighed() int { return len(r.neighbors) }
 
 // tokenKeys returns the distinct tokens of the profile, in
@@ -393,8 +391,8 @@ func (r *Resolver) AddBatch(ps []entity.Profile) []BatchResult {
 // configuration, the profiles in arrival order, and each profile's block
 // keys, so a restore does not re-tokenize. The token index is the inverse
 // of BlocksOf and is derived on restore. internal/store persists it as
-// the "resolver" artifact; the serving layer hot-swaps resolvers built
-// from one.
+// the "resolver" artifact; the serving layer hot-swaps shard groups
+// built from one.
 type Snapshot struct {
 	Config   Config
 	Profiles []entity.Profile

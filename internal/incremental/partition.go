@@ -33,34 +33,13 @@ import (
 	"metablocking/internal/postings"
 )
 
-// Index is the shardable serving-index contract: what internal/server
-// binds to, implemented by the single-writer *Resolver and by the
-// scatter-gather shard.Group. Implementations are not safe for concurrent
-// use — the serving layer serializes every call behind its writer lock.
-type Index interface {
-	// Resolve assigns the next ID and returns the pruned candidates —
-	// Add with an error channel for implementations whose index pass can
-	// fail partway (a downed shard).
-	Resolve(p entity.Profile) (BatchResult, error)
-	// Peek computes the candidates Resolve would return without mutating
-	// the index — the degraded-mode read path.
-	Peek(p entity.Profile) ([]Candidate, error)
-	// Size returns the number of profiles resolved so far.
-	Size() int
-	// Snapshot deep-copies the index state in the canonical (global,
-	// shard-count-independent) snapshot form.
-	Snapshot() *Snapshot
-	// Close releases any goroutines or buffers the index owns.
-	Close() error
-}
-
-// Resolve implements Index: Add, which cannot fail on a single index.
+// Resolve is Add with shard.Group.Resolve's signature, for reference replays.
 func (r *Resolver) Resolve(p entity.Profile) (BatchResult, error) {
 	id, cands := r.Add(p)
 	return BatchResult{ID: id, Candidates: cands}, nil
 }
 
-// Close implements Index; a Resolver owns no goroutines.
+// Close matches shard.Group.Close; a Resolver owns no goroutines.
 func (r *Resolver) Close() error { return nil }
 
 // ShardOf maps an entity ID to its home shard. IDs are dense arrival
@@ -99,7 +78,8 @@ func KeyIncrements(incs []float64, keys []string, blockSize func(string) int, sc
 // Partition is one hash-shard of the incremental index: profiles with
 // ShardOf(id) == index live here, stored at local slot id/shards. It is a
 // single-writer structure like Resolver — internal/shard gives each
-// partition its own actor goroutine.
+// partition of a multi-shard group its own actor goroutine, and runs a
+// one-shard group's partition on the caller's goroutine.
 type Partition struct {
 	shards int // total shard count (for slot arithmetic)
 	index  int // this partition's shard number
@@ -131,6 +111,30 @@ func NewPartition(scheme core.Scheme, shards, index int) *Partition {
 		scan:   NewScanCount(scheme, shards),
 	}
 }
+
+// LoadPartition builds shard index of shards from a validated snapshot at
+// its final size: each slice is allocated once, and the partition shares
+// the snapshot's key lists, which neither side ever mutates.
+func LoadPartition(s *Snapshot, shards, index int) *Partition {
+	n := (len(s.Profiles) - index + shards - 1) / shards
+	t := NewPartition(s.Config.Scheme, shards, index)
+	t.profiles = make([]entity.Profile, 0, n)
+	t.blocksOf = make([][]string, 0, n)
+	t.scan.cells = make([]scanSlot, 0, n)
+	for i := index; i < len(s.Profiles); i += shards {
+		p, keys := s.Profiles[i], s.BlocksOf[i]
+		p.ID = entity.ID(i)
+		t.profiles = append(t.profiles, p)
+		t.blocksOf = append(t.blocksOf, keys)
+		t.scan.AddSlot(len(keys))
+		appendPostings(t.blocks, p.ID, keys)
+	}
+	return t
+}
+
+// LastWeighed returns how many neighbors the last Gather weighed before
+// its local top-K; over all shards it sums to Resolver.LastWeighed.
+func (t *Partition) LastWeighed() int { return len(t.scan.neighbors) }
 
 // Len returns the number of profiles homed on this partition.
 func (t *Partition) Len() int { return len(t.profiles) }

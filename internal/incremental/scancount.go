@@ -2,6 +2,7 @@ package incremental
 
 import (
 	"math"
+	"math/bits"
 
 	"metablocking/internal/core"
 	"metablocking/internal/entity"
@@ -30,7 +31,10 @@ type ShardCand struct {
 // Weigh. Not safe for concurrent use.
 type ScanCount struct {
 	scheme core.Scheme
-	shards int
+	// Local slot id/shards is id·mul >> shift, exact for every int32 id ≥ 0
+	// (Granlund–Montgomery): a multiply, not a division, per scanned member.
+	mul   uint64
+	shift uint
 
 	// cells[slot] belongs to the profile with local slot id/shards.
 	cells []scanSlot
@@ -55,7 +59,8 @@ type scanSlot struct {
 // NewScanCount returns an empty kernel for one shard of a shards-way hash
 // layout. The scheme must be one NewResolver accepts.
 func NewScanCount(scheme core.Scheme, shards int) *ScanCount {
-	return &ScanCount{scheme: scheme, shards: shards}
+	shift := 31 + uint(bits.Len(uint(shards-1)))
+	return &ScanCount{scheme: scheme, shift: shift, mul: (1<<shift + uint64(shards) - 1) / uint64(shards)}
 }
 
 // AddSlot appends the next local slot, whose profile has keyCount block
@@ -74,9 +79,9 @@ func (s *ScanCount) Begin() {
 // Scan folds one member list of gather key ki into the counts, adding inc
 // per member. Members are global IDs homed on this shard.
 func (s *ScanCount) Scan(ki int, inc float64, members []entity.ID) {
-	epoch, cells, shards, neighbors := s.epoch, s.cells, s.shards, s.neighbors
+	epoch, cells, mul, shift, neighbors := s.epoch, s.cells, s.mul, s.shift, s.neighbors
 	for _, j := range members {
-		c := &cells[int(j)/shards]
+		c := &cells[uint64(j)*mul>>shift]
 		if c.epoch != epoch {
 			c.epoch = epoch
 			c.common = inc
@@ -101,7 +106,7 @@ func (s *ScanCount) Weigh(bi int, nb float64, maxWeighted int, dst []ShardCand) 
 	if maxWeighted > 0 {
 		s.topk.reset(maxWeighted)
 		for _, j := range s.neighbors {
-			s.topk.offer(Candidate{ID: j, Weight: s.weight(bi, nb, &s.cells[int(j)/s.shards])})
+			s.topk.offer(Candidate{ID: j, Weight: s.weight(bi, nb, &s.cells[uint64(j)*s.mul>>s.shift])})
 		}
 		for _, c := range s.topk.cs {
 			dst = append(dst, ShardCand{Candidate: c})
@@ -109,7 +114,7 @@ func (s *ScanCount) Weigh(bi int, nb float64, maxWeighted int, dst []ShardCand) 
 		return dst
 	}
 	for _, j := range s.neighbors {
-		c := &s.cells[int(j)/s.shards]
+		c := &s.cells[uint64(j)*s.mul>>s.shift]
 		dst = append(dst, ShardCand{
 			Candidate: Candidate{ID: j, Weight: s.weight(bi, nb, c)},
 			FirstKey:  c.firstKey,

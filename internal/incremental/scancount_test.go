@@ -154,3 +154,20 @@ func TestScanCountKernel(t *testing.T) {
 		}
 	}
 }
+
+// TestScanCountSlotIsExact pins the multiply-shift slot arithmetic to
+// id/shards for every shard count's boundary IDs, up to the largest ID.
+func TestScanCountSlotIsExact(t *testing.T) {
+	ids := []entity.ID{math.MaxInt32 - 1, math.MaxInt32}
+	for id := entity.ID(0); id < 1<<16; id++ {
+		ids = append(ids, id)
+	}
+	for _, shards := range []int{1, 2, 3, 4, 7, 16, 17, 1000, 65537} {
+		s := NewScanCount(core.JS, shards)
+		for _, id := range ids {
+			if got, want := uint64(id)*s.mul>>s.shift, uint64(id)/uint64(shards); got != want {
+				t.Fatalf("shards %d: slot of %d = %d, want %d", shards, id, got, want)
+			}
+		}
+	}
+}

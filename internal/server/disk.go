@@ -26,7 +26,7 @@ func (s *Server) diskMode() bool { return s.cfg.DiskDir != "" }
 // memtable exceeds cfg.MemtableBudget. A directory holding data under a
 // different resolver configuration is refused — serving it under other
 // weights would silently change answers.
-func newDiskIndex(cfg Config) (incremental.Index, error) {
+func newDiskIndex(cfg Config) (*shard.Group, error) {
 	layout, err := store.RecoverDiskDir(cfg.DiskDir, cfg.Shards)
 	if err != nil {
 		return nil, err
@@ -118,20 +118,20 @@ func diskGroup(cfg Config, layout *store.DiskLayout, snap *incremental.Snapshot)
 func (s *Server) diskReload(snap *incremental.Snapshot) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.resolver.Close()
+	s.index.Close()
 	g, err := s.rebuildDisk(snap)
 	if err != nil {
 		if fb, ferr := newDiskIndex(s.cfg); ferr == nil {
-			s.resolver = fb
+			s.index = fb
 		} else {
 			// Last resort: never serve a nil index. An empty in-memory
-			// resolver keeps the process answering (and /readyz honest
+			// group keeps the process answering (and /readyz honest
 			// about size 0) while the operator repairs the directory.
-			s.resolver, _ = incremental.NewResolver(s.cfg.Resolver)
+			s.index, _ = shard.New(shardConfig(s.cfg))
 		}
 		return 0, err
 	}
-	s.resolver = g
+	s.index = g
 	n := g.Size()
 	s.breaker.reset()
 	s.generation.Add(1) // outstanding resume cursors die with the old index
@@ -161,16 +161,16 @@ func (s *Server) rebuildDisk(snap *incremental.Snapshot) (*shard.Group, error) {
 
 // Checkpoint seals every shard's memtable and commits manifests under
 // the next checkpoint id — the disk-mode durability point behind
-// /v1/admin/snapshot. Returns the profile count made durable. A no-op
-// error for in-memory configurations.
+// /v1/admin/snapshot. Returns the profile count made durable. In memory
+// there is nothing to seal: it fails, and the generation (hence every
+// resume cursor) is left alone.
 func (s *Server) Checkpoint() (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g, ok := s.resolver.(*shard.Group)
-	if !ok {
+	if !s.diskMode() {
 		return 0, fmt.Errorf("server: checkpoint: not serving a disk-backed index")
 	}
-	if err := g.Checkpoint(); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.index.Checkpoint(); err != nil {
 		return 0, err
 	}
 	// A checkpoint reshapes the on-disk postings the gather path serves
@@ -178,5 +178,5 @@ func (s *Server) Checkpoint() (int, error) {
 	// exact, so the generation advances and they are refused.
 	s.generation.Add(1)
 	s.metrics.Counter(CtrSnapshots).Inc()
-	return g.Size(), nil
+	return s.index.Size(), nil
 }

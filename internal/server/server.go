@@ -1,13 +1,18 @@
 // Package server is the online Entity Resolution query service: a
-// concurrency-safe façade over the incremental Resolver that turns the
-// one-shot cmd/stream workflow into an always-on serving layer.
+// concurrency-safe façade over the internal/shard coordinator that turns
+// the one-shot cmd/stream workflow into an always-on serving layer.
+//
+// There is one serving path: the index is a shard.Group at every shard
+// count, in memory (where one shard runs on the batcher's goroutine) and
+// on disk (DiskDir). Answers are bit-identical to the serial reference
+// resolver of internal/incremental in every shape.
 //
 // Three serving-stack shapes make it production-grade:
 //
 //   - Micro-batching. Concurrent /v1/resolve requests are coalesced into
 //     one index pass: a single batcher goroutine — the only writer —
-//     drains the admission queue, up to MaxBatch arrivals, and feeds
-//     them to Resolver.AddBatch under one lock acquisition. It waits for
+//     drains the admission queue, up to MaxBatch arrivals, and resolves
+//     them one by one under one lock acquisition. It waits for
 //     more only while an admitted request is still on its way to the
 //     queue, and never longer than BatchWindow; a lone caller is flushed
 //     at once. Responses are identical to processing the same arrival
@@ -17,7 +22,7 @@
 //     Retry-After) instead of building an unbounded backlog. Accepted
 //     requests are never dropped: every queued job is answered, even
 //     during graceful shutdown.
-//   - Snapshot hot-swap. The resolver behind the façade can be replaced
+//   - Snapshot hot-swap. The index behind the façade can be replaced
 //     atomically (Reload / POST /v1/admin/reload) with one built from a
 //     pre-blocked internal/store snapshot. The swap fences on the same
 //     lock the batcher writes under, so in-flight requests complete
@@ -101,12 +106,12 @@ type Config struct {
 	// Resolver configures the incremental index (scheme, K, block cap).
 	Resolver incremental.Config
 	// Shards splits the serving index into N single-writer partitions
-	// behind the internal/shard scatter-gather coordinator. 0 or 1
-	// serves the monolithic single-index resolver; answers are
-	// bit-identical at every shard count.
+	// behind the internal/shard scatter-gather coordinator. 0 means 1: a
+	// one-shard in-memory group, which runs inline on the batcher's
+	// goroutine. Answers are bit-identical at every shard count.
 	Shards int
-	// ShardQueueDepth bounds each shard actor's admission queue when
-	// Shards > 1. Default 2.
+	// ShardQueueDepth bounds each shard actor's admission queue. An
+	// inline one-shard group has no queue. Default 2.
 	ShardQueueDepth int
 	// BatchWindow is the upper bound on how long the batcher waits for an
 	// announced arrival — a request admitted but not yet queued — before
@@ -199,8 +204,8 @@ type Config struct {
 type Option func(*Config)
 
 // WithFault installs a fault injector, consulted at the server's named
-// sites (FaultResolve, and the per-shard shard.GatherSite /
-// shard.CommitSite when Shards > 1).
+// sites: FaultResolve, and the per-shard shard.GatherSite /
+// shard.CommitSite at every shard count.
 func WithFault(in *fault.Injector) Option {
 	return func(c *Config) { c.fault = in }
 }
@@ -221,7 +226,7 @@ func (c Config) withDefaults() Config {
 		// the effective value, not the zero placeholder.
 		c.Resolver.MaxBlockSize = 1000
 	}
-	if (c.Shards > 1 || c.DiskDir != "") && c.ShardQueueDepth <= 0 {
+	if c.ShardQueueDepth <= 0 {
 		c.ShardQueueDepth = 2
 	}
 	if c.DiskDir != "" {
@@ -293,8 +298,8 @@ type jobResult struct {
 // never blocks on a client that gave up waiting. A resume job is the
 // read-only re-gather behind cursor resumption: it excludes the named
 // already-committed profile and never mutates the index, but still rides
-// the batcher so it is serialized with writers (the resolvers' gather
-// scratch is single-caller).
+// the batcher so it is serialized with writers (the coordinator's
+// gather scratch is single-caller).
 type job struct {
 	profile entity.Profile
 	resume  bool
@@ -303,19 +308,19 @@ type job struct {
 }
 
 // Server is the concurrency-safe serving façade. One batcher goroutine is
-// the single writer to the resolver; handler goroutines are readers that
+// the single writer to the index; handler goroutines are readers that
 // fence on mu. Create with New, stop with Close.
 type Server struct {
 	cfg     Config
 	metrics *obs.Metrics
 
-	// mu fences the resolver pointer and its state: the batcher's flush
-	// and Reload's swap take the write lock, read-only accessors the
-	// read lock. The sharded backend's coordinator is single-caller, so
-	// operations that walk its actors (Snapshot, Stats) take the write
-	// lock even though they don't mutate index state.
-	mu       sync.RWMutex
-	resolver incremental.Index
+	// mu fences the index pointer and its state: the batcher's flush and
+	// Reload's swap take the write lock, read-only accessors the read
+	// lock. The coordinator is single-caller, so operations that walk its
+	// shards (Snapshot, Stats) take the write lock even though they don't
+	// mutate index state.
+	mu    sync.RWMutex
+	index *shard.Group
 
 	// breaker gates the write path behind degraded mode; consulted only
 	// by the batcher, per job.
@@ -365,10 +370,9 @@ type Server struct {
 	done  chan struct{}
 }
 
-// New validates the configuration, builds an empty serving index —
-// monolithic, or sharded behind the internal/shard coordinator when
-// cfg.Shards > 1 — and starts the batcher. Call Close to stop the
-// server.
+// New validates the configuration, builds an empty serving index — a
+// shard.Group of cfg.Shards partitions, in memory or recovered from
+// cfg.DiskDir — and starts the batcher. Call Close to stop the server.
 func New(cfg Config, opts ...Option) (*Server, error) {
 	for _, opt := range opts {
 		opt(&cfg)
@@ -392,7 +396,7 @@ func New(cfg Config, opts ...Option) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		metrics:  cfg.metrics,
-		resolver: r,
+		index:    r,
 		queue:    make(chan job, cfg.QueueDepth),
 		batchBuf: make([]job, 0, cfg.MaxBatch),
 		pools:    budget.NewPools(cfg.Tiers...),
@@ -431,11 +435,8 @@ func (s *Server) walSyncLoop() {
 	for {
 		select {
 		case <-t.C:
-			var err error
 			s.mu.Lock()
-			if g, ok := s.resolver.(*shard.Group); ok {
-				err = g.SyncWAL()
-			}
+			err := s.index.SyncWAL()
 			s.mu.Unlock()
 			if err != nil && !errors.Is(err, shard.ErrClosed) {
 				s.metrics.Counter(CtrWalSyncFailed).Inc()
@@ -447,21 +448,18 @@ func (s *Server) walSyncLoop() {
 	}
 }
 
-// newIndex builds the serving backend the configuration asks for.
-func newIndex(cfg Config) (incremental.Index, error) {
+// newIndex builds the serving group the configuration asks for.
+func newIndex(cfg Config) (*shard.Group, error) {
 	if cfg.DiskDir != "" {
 		return newDiskIndex(cfg)
 	}
-	if cfg.Shards > 1 {
-		return shard.New(shardConfig(cfg))
-	}
-	return incremental.NewResolver(cfg.Resolver)
+	return shard.New(shardConfig(cfg))
 }
 
 // shardConfig derives the coordinator configuration from the server's.
 // The gather hook feeds the budget subsystem's work accounting: every
 // shard reply's weighed-neighbor count lands in budget.gathered as it
-// arrives (the single-index path mirrors this via LastWeighed in flush).
+// arrives.
 func shardConfig(cfg Config) shard.Config {
 	gathered := cfg.metrics.Counter(budget.CtrGathered)
 	return shard.Config{
@@ -491,7 +489,7 @@ func (s *Server) Resolve(ctx context.Context, p entity.Profile) (Resolution, err
 
 // Resume is the read-only re-gather behind cursor resumption: it
 // recomputes the ranked candidates the already-committed profile exclude
-// received from its own resolve (see incremental.Resolver.PeekExcluding),
+// received from its own resolve (see shard.Group.PeekExcluding),
 // without assigning an ID or mutating the index. It rides the same
 // admission queue and batcher as Resolve — the underlying gather scratch
 // is single-caller — and is subject to the same backpressure errors. The
@@ -546,26 +544,20 @@ func (s *Server) Degraded() bool { return s.breaker.degraded() }
 // the snapshot was produced — and returns its profile count. The swap
 // waits for the batch in flight (if any) to finish; requests already
 // admitted but not yet batched are resolved against the new index. IDs
-// restart at the snapshot's size. The replaced index is closed (a
-// sharded backend owns goroutines); any down shards are forgotten with
-// it, so reload doubles as the per-shard recovery lever.
+// restart at the snapshot's size. The replaced group is closed (its
+// actors, if any, stop); any down shards are forgotten with it, so
+// reload doubles as the per-shard recovery lever.
 func (s *Server) Reload(snap *incremental.Snapshot) (int, error) {
 	if s.diskMode() {
 		return s.diskReload(snap)
 	}
-	var r incremental.Index
-	var err error
-	if s.cfg.Shards > 1 {
-		r, err = shard.FromSnapshot(snap, shardConfig(s.cfg))
-	} else {
-		r, err = incremental.FromSnapshot(snap)
-	}
+	r, err := shard.FromSnapshot(snap, shardConfig(s.cfg))
 	if err != nil {
 		return 0, err
 	}
 	s.mu.Lock()
-	old := s.resolver
-	s.resolver = r
+	old := s.index
+	s.index = r
 	n := r.Size()
 	s.mu.Unlock()
 	old.Close()
@@ -616,7 +608,7 @@ func (s *Server) ReloadFile(path string) (int, error) {
 func (s *Server) Size() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.resolver.Size()
+	return s.index.Size()
 }
 
 // Snapshot deep-copies the serving index in canonical (shard-count
@@ -626,43 +618,28 @@ func (s *Server) Size() int {
 func (s *Server) Snapshot() *incremental.Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.resolver.Snapshot()
+	return s.index.Snapshot()
 }
 
-// SnapshotFile persists the current serving index at path and returns
-// the number of profiles it holds. A sharded backend writes the sharded
-// artifact — per-shard checksummed segments plus a manifest committed
-// last — a monolithic one the plain "resolver" artifact. Either file
-// can be fed back to -snapshot at startup or to /v1/admin/reload, at
-// any shard count. In disk mode an empty path means "checkpoint in
+// SnapshotFile persists the current serving index at path as the
+// sharded artifact — per-shard checksummed segments plus a manifest
+// committed last — and returns the number of profiles it holds. The
+// file can be fed back to -snapshot at startup or to /v1/admin/reload,
+// at any shard count. In disk mode an empty path means "checkpoint in
 // place" — durability lives in the serving directory itself — while a
-// non-empty path additionally exports the portable sharded artifact.
+// non-empty path additionally exports the portable artifact.
 func (s *Server) SnapshotFile(path string) (int, error) {
 	if s.diskMode() && path == "" {
 		return s.Checkpoint()
 	}
 	s.mu.Lock()
-	g, sharded := s.resolver.(*shard.Group)
-	var segs []*incremental.PartitionSnapshot
-	var snap *incremental.Snapshot
-	var n int
-	if sharded {
-		segs = g.PartitionSnapshots()
-		for _, seg := range segs {
-			n += len(seg.Profiles)
-		}
-	} else {
-		snap = s.resolver.Snapshot()
-		n = len(snap.Profiles)
-	}
+	segs := s.index.PartitionSnapshots()
 	s.mu.Unlock()
-	var err error
-	if sharded {
-		err = store.SaveShardedResolverFile(path, s.cfg.Resolver, segs)
-	} else {
-		err = store.SaveResolverFile(path, snap)
+	n := 0
+	for _, seg := range segs {
+		n += len(seg.Profiles)
 	}
-	if err != nil {
+	if err := store.SaveShardedResolverFile(path, s.cfg.Resolver, segs); err != nil {
 		return 0, err
 	}
 	s.metrics.Counter(CtrSnapshots).Inc()
@@ -699,7 +676,7 @@ type ConfigStatus struct {
 }
 
 // Status is the GET /v1/admin/status payload: effective configuration,
-// serving state, and — when sharded — per-shard gauges.
+// serving state, and per-shard gauges.
 type Status struct {
 	Config   ConfigStatus `json:"config"`
 	Profiles int          `json:"profiles"`
@@ -732,6 +709,7 @@ func (s *Server) Status() Status {
 			MaxBlockSize:      cfg.Resolver.MaxBlockSize,
 			MinTokenLength:    cfg.Resolver.MinTokenLength,
 			Shards:            cfg.Shards,
+			ShardQueueDepth:   cfg.ShardQueueDepth,
 			BatchWindowMs:     cfg.BatchWindow.Milliseconds(),
 			MaxBatch:          cfg.MaxBatch,
 			QueueDepth:        cfg.QueueDepth,
@@ -766,12 +744,9 @@ func (s *Server) Status() Status {
 		}
 	}
 	s.mu.Lock()
-	st.Profiles = s.resolver.Size()
-	if g, ok := s.resolver.(*shard.Group); ok {
-		st.Config.ShardQueueDepth = g.Config().QueueDepth
-		st.Checkpoint = g.Checkpointed()
-		st.Shards = g.Stats()
-	}
+	st.Profiles = s.index.Size()
+	st.Checkpoint = s.index.Checkpointed()
+	st.Shards = s.index.Stats()
 	s.mu.Unlock()
 	return st
 }
@@ -788,7 +763,7 @@ func (s *Server) Metrics() *obs.Metrics { return s.metrics }
 
 // Close drains gracefully: new requests are rejected with ErrDraining,
 // every already-accepted request is answered, the batcher exits, and
-// the serving index is closed (stopping shard actors, if any). Safe to
+// the serving group is closed (stopping its actors, if any). Safe to
 // call more than once.
 func (s *Server) Close() error {
 	s.submitMu.Lock()
@@ -801,10 +776,10 @@ func (s *Server) Close() error {
 	<-s.done
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.resolver.Close()
+	return s.index.Close()
 }
 
-// batcher is the single writer: it owns every mutation of the resolver.
+// batcher is the single writer: it owns every mutation of the index.
 func (s *Server) batcher() {
 	defer close(s.done)
 	for {
@@ -880,8 +855,8 @@ func (s *Server) fillQueued(first job) []job {
 // flush runs one index pass over the batch and answers every job. The
 // write lock is taken once per batch — this is the micro-batching win —
 // and is the same lock Reload swaps under. Within the pass each job is
-// processed by a guarded addOne (AddBatch is semantically that same
-// loop), so an injected fault or a panic fails only its own request:
+// processed by a guarded addOne (the serial reference's AddBatch is
+// that same loop), so an injected fault or a panic fails only its own request:
 // batch-mates still resolve, the batcher survives, and the breaker counts
 // the failure toward degraded mode.
 func (s *Server) flush(batch []job) {
@@ -892,8 +867,6 @@ func (s *Server) flush(batch []job) {
 		outcomes = outcomes[:len(batch)]
 	}
 	s.mu.Lock()
-	lastWeighed, _ := s.resolver.(interface{ LastWeighed() int })
-	var gathered int64
 	for i, j := range batch {
 		if j.resume {
 			// Read-only: no breaker interaction, no ID consumed.
@@ -908,20 +881,12 @@ func (s *Server) flush(batch []job) {
 				outcomes[i] = jobResult{res: Resolution{BatchResult: res}, err: err}
 			}
 		}
-		if lastWeighed != nil && outcomes[i].err == nil {
-			// Single-index gather accounting; the sharded backends report
-			// through the coordinator's OnGather hook instead.
-			gathered += int64(lastWeighed.LastWeighed())
-		}
 	}
 	if s.walAlways {
 		s.syncWALLocked(batch, outcomes)
 	}
-	size := s.resolver.Size()
+	size := s.index.Size()
 	s.mu.Unlock()
-	if gathered > 0 {
-		s.metrics.Counter(budget.CtrGathered).Add(gathered)
-	}
 
 	// Settle everything a caller might read — the counters and inflight —
 	// before the first reply: a caller that reads a counter, or resubmits
@@ -980,11 +945,7 @@ func (s *Server) syncWALLocked(batch []job, outcomes []jobResult) {
 	if !committed {
 		return
 	}
-	g, ok := s.resolver.(*shard.Group)
-	if !ok {
-		return
-	}
-	err := g.SyncWAL()
+	err := s.index.SyncWAL()
 	if err == nil {
 		return
 	}
@@ -997,7 +958,7 @@ func (s *Server) syncWALLocked(batch []job, outcomes []jobResult) {
 }
 
 // addOne is one guarded index pass for a single admitted profile: the
-// fault site fires first, then the resolver's Add. A panic — injected or
+// fault site fires first, then the group's Resolve. A panic — injected or
 // genuine — is recovered into a *par.PanicError so one poisoned request
 // cannot kill the batcher or fail its batch-mates. Called with s.mu held.
 func (s *Server) addOne(p entity.Profile) (res incremental.BatchResult, err error) {
@@ -1010,11 +971,11 @@ func (s *Server) addOne(p entity.Profile) (res incremental.BatchResult, err erro
 	if err := s.cfg.fault.Check(FaultResolve); err != nil {
 		return incremental.BatchResult{}, err
 	}
-	return s.resolver.Resolve(p)
+	return s.index.Resolve(p)
 }
 
 // peekOne answers a request degraded: read-only candidates from the last
-// good index via Resolver.Peek, no ID assigned. Guarded like addOne —
+// good index via Group.Peek, no ID assigned. Guarded like addOne —
 // even a broken index must not kill the batcher. Called with s.mu held.
 func (s *Server) peekOne(p entity.Profile) (res Resolution) {
 	defer func() {
@@ -1023,7 +984,7 @@ func (s *Server) peekOne(p entity.Profile) (res Resolution) {
 			res = Resolution{BatchResult: incremental.BatchResult{ID: -1}, Degraded: true}
 		}
 	}()
-	cands, err := s.resolver.Peek(p)
+	cands, err := s.index.Peek(p)
 	if err != nil {
 		s.metrics.Counter(CtrPanics).Inc()
 		return Resolution{BatchResult: incremental.BatchResult{ID: -1}, Degraded: true}
@@ -1032,15 +993,6 @@ func (s *Server) peekOne(p entity.Profile) (res Resolution) {
 		BatchResult: incremental.BatchResult{ID: -1, Candidates: cands},
 		Degraded:    true,
 	}
-}
-
-// resumer is the optional backend capability cursor resumption needs:
-// re-gather a committed profile's candidates with its own contribution
-// compensated out. Both serving backends implement it; the interface is
-// asserted rather than added to incremental.Index so alternative Index
-// implementations (test fakes) stay valid.
-type resumer interface {
-	PeekExcluding(entity.Profile, entity.ID) ([]incremental.Candidate, error)
 }
 
 // resumeOne answers a resume job: a read-only exclusion gather against
@@ -1052,14 +1004,10 @@ func (s *Server) resumeOne(j job) (out jobResult) {
 			out = jobResult{err: pe}
 		}
 	}()
-	r, ok := s.resolver.(resumer)
-	if !ok {
-		return jobResult{err: errors.New("server: backend does not support resume")}
-	}
 	if err := s.cfg.fault.Check(FaultResolve); err != nil {
 		return jobResult{err: err}
 	}
-	cands, err := r.PeekExcluding(j.profile, j.exclude)
+	cands, err := s.index.PeekExcluding(j.profile, j.exclude)
 	if err != nil {
 		return jobResult{err: err}
 	}

@@ -65,35 +65,3 @@ func TestPeekExcludingRejectsUnknownID(t *testing.T) {
 		t.Fatal("out-of-range exclude accepted")
 	}
 }
-
-// TestOnGatherHookObservesEveryShard pins the early-emit hook: one call
-// per live shard per gather, reporting its weighed-neighbor count.
-func TestOnGatherHookObservesEveryShard(t *testing.T) {
-	type obsv struct{ shard, weighed int }
-	var seen []obsv
-	g, err := New(Config{
-		Resolver: incremental.Config{Scheme: core.JS, K: 5},
-		Shards:   4,
-		OnGather: func(shard, weighed int) { seen = append(seen, obsv{shard, weighed}) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	ds := datagen.D1D(0.1)
-	total := 0
-	for i := 0; i < 20; i++ {
-		if _, err := g.Resolve(ds.Collection.Profiles[i]); err != nil {
-			t.Fatal(err)
-		}
-		total += 4
-		if len(seen) != total {
-			t.Fatalf("after resolve %d: %d observations, want %d", i, len(seen), total)
-		}
-		for _, o := range seen[total-4:] {
-			if o.shard < 0 || o.shard >= 4 || o.weighed < 0 {
-				t.Fatalf("bad observation %+v", o)
-			}
-		}
-	}
-}

@@ -5,9 +5,11 @@
 //
 // Each partition (incremental.Partition) is owned by a single-writer
 // actor goroutine with a bounded mailbox gated by a token channel, so
-// admission control is per shard. The coordinator (Group) serializes
-// arrivals — it is the serving layer's single writer — and runs each
-// resolve in two phases:
+// admission control is per shard — except a one-shard in-memory group,
+// which has nothing to overlap and runs on the caller's goroutine (disk
+// partitions compact on their actor, so they keep one). The coordinator
+// (Group) serializes arrivals — it is the serving layer's single writer —
+// and runs each resolve in two phases:
 //
 //  1. Scatter-gather (read-only): the coordinator derives the arrival's
 //     block keys and the global per-key ScanCount increments (block
@@ -276,8 +278,9 @@ type request struct {
 	sealSize   int
 
 	// Outputs. cands is actor-owned gather scratch, valid until the next
-	// submit to the same actor.
+	// submit to the same actor; weighed counts the neighbors it weighed.
 	cands    []incremental.ShardCand
+	weighed  int
 	snap     *incremental.PartitionSnapshot
 	profiles int
 	blocks   int
@@ -289,7 +292,12 @@ type request struct {
 	err     error
 }
 
-// actor is one shard's single-writer goroutine plus its admission gate.
+// lastWeigher reports how many neighbors the last Gather weighed before
+// pruning to maxWeighted; a backend without it returns them all.
+type lastWeigher interface{ LastWeighed() int }
+
+// actor is one shard's single-writer goroutine plus its admission gate,
+// or, with nil channels, the same operations run inline.
 type actor struct {
 	back Backend
 	// maint is back's disk-tier extension, nil for in-memory partitions.
@@ -299,7 +307,7 @@ type actor struct {
 	// a full channel is ErrShardBusy, the token-channel backpressure
 	// pattern), the coordinator releases it after consuming the reply.
 	// The mailbox has the same capacity, so a token guarantees a
-	// non-blocking send.
+	// non-blocking send. All four channels are nil on an inline actor.
 	tokens  chan struct{}
 	mailbox chan *request
 	replies chan *request
@@ -311,11 +319,15 @@ type actor struct {
 	siteCompact string
 	metrics     *obs.Metrics
 
-	// req is the coordinator's preallocated message for this actor.
+	// req is the coordinator's preallocated, and only, message to this actor.
 	req *request
 }
 
 func (a *actor) submit(req *request) error {
+	if a.mailbox == nil {
+		a.handle(req)
+		return nil
+	}
 	select {
 	case a.tokens <- struct{}{}:
 	default:
@@ -327,6 +339,9 @@ func (a *actor) submit(req *request) error {
 
 // receive waits for the actor's reply and releases the admission token.
 func (a *actor) receive() *request {
+	if a.mailbox == nil {
+		return a.req
+	}
 	req := <-a.replies
 	<-a.tokens
 	return req
@@ -383,6 +398,10 @@ func (a *actor) handle(req *request) {
 			return
 		}
 		req.cands = a.back.Gather(req.keys, req.incs, req.bi, req.nb, req.maxWeighted, req.cands)
+		req.weighed = len(req.cands)
+		if w, ok := a.back.(lastWeigher); ok {
+			req.weighed = w.LastWeighed()
+		}
 	case opCommit:
 		if err := a.fault.Check(a.siteCommit); err != nil {
 			req.err = err
@@ -415,10 +434,10 @@ func (a *actor) handle(req *request) {
 	}
 }
 
-// Group coordinates N shard actors behind the incremental.Index contract.
-// Like the single-index Resolver it is not safe for concurrent use — the
-// serving layer serializes calls behind its writer lock; the parallelism
-// lives below, across the actors of one call.
+// Group coordinates N shard actors; its answers are bit-identical to
+// the serial incremental.Resolver's. Like the Resolver it is not safe for
+// concurrent use — the serving layer serializes calls behind its writer
+// lock; the parallelism lives below, across the actors of one call.
 type Group struct {
 	cfg    Config
 	actors []*actor
@@ -457,7 +476,7 @@ func New(cfg Config) (*Group, error) {
 	if cfg.Resolver.Scheme == core.EJS {
 		return nil, incremental.ErrUnsupportedScheme
 	}
-	g, err := newGroup(cfg.withDefaults())
+	g, err := newGroup(cfg.withDefaults(), cfg.Backends)
 	if err != nil {
 		return nil, err
 	}
@@ -468,27 +487,32 @@ func New(cfg Config) (*Group, error) {
 // Restored starts a group over backends that already hold state — the
 // disk-recovery path, where partitions come back from their segment
 // files instead of being replayed. size and blockSize must describe the
-// recovered state; cfg.Checkpoint must sit at or above every checkpoint
-// id on disk.
+// recovered state, and the group takes blockSize over; cfg.Checkpoint
+// must sit at or above every checkpoint id on disk.
 func Restored(cfg Config, size int, blockSize map[string]int) (*Group, error) {
 	if cfg.Resolver.Scheme == core.EJS {
 		return nil, incremental.ErrUnsupportedScheme
 	}
-	g, err := newGroup(cfg.withDefaults())
+	g, err := newGroup(cfg.withDefaults(), cfg.Backends)
 	if err != nil {
 		return nil, err
 	}
 	g.size = size
-	for k, n := range blockSize {
-		g.blockSize[k] = n
-	}
+	g.blockSize = blockSize
 	g.start()
 	return g, nil
 }
 
-// newGroup builds the group without starting actor goroutines, so
-// restore paths can seed partitions single-threaded first.
-func newGroup(cfg Config) (*Group, error) {
+// newGroup builds the group over backend's partitions (nil: empty
+// in-memory ones) without starting actor goroutines, so restore paths
+// can seed partitions single-threaded first. A lone backend with no disk
+// tier gets an inline actor.
+func newGroup(cfg Config, backend func(int) (Backend, error)) (*Group, error) {
+	if backend == nil {
+		backend = func(i int) (Backend, error) {
+			return incremental.NewPartition(cfg.Resolver.Scheme, cfg.Shards, i), nil
+		}
+	}
 	g := &Group{
 		cfg:        cfg,
 		actors:     make([]*actor, cfg.Shards),
@@ -500,29 +524,18 @@ func newGroup(cfg Config) (*Group, error) {
 		fails:      make([]int, cfg.Shards),
 		down:       make([]bool, cfg.Shards),
 		metrics:    cfg.Metrics,
+		maint:      true,
 	}
-	g.maint = cfg.Backends != nil
 	for i := range g.actors {
-		var back Backend
-		if cfg.Backends != nil {
-			var err error
-			if back, err = cfg.Backends(i); err != nil {
-				return nil, fmt.Errorf("shard %d backend: %w", i, err)
-			}
-		} else {
-			back = incremental.NewPartition(cfg.Resolver.Scheme, cfg.Shards, i)
+		back, err := backend(i)
+		if err != nil {
+			return nil, fmt.Errorf("shard %d backend: %w", i, err)
 		}
 		maint, _ := back.(Maintainer)
-		if maint == nil {
-			g.maint = false
-		}
-		g.actors[i] = &actor{
+		g.maint = g.maint && maint != nil
+		a := &actor{
 			back:        back,
 			maint:       maint,
-			tokens:      make(chan struct{}, cfg.QueueDepth),
-			mailbox:     make(chan *request, cfg.QueueDepth),
-			replies:     make(chan *request, 1),
-			exited:      make(chan struct{}),
 			fault:       cfg.Fault,
 			siteGather:  GatherSite(i),
 			siteCommit:  CommitSite(i),
@@ -530,26 +543,32 @@ func newGroup(cfg Config) (*Group, error) {
 			metrics:     cfg.Metrics,
 			req:         new(request),
 		}
+		if cfg.Shards > 1 || maint != nil {
+			a.tokens = make(chan struct{}, cfg.QueueDepth)
+			a.mailbox = make(chan *request, cfg.QueueDepth)
+			a.replies = make(chan *request, 1)
+			a.exited = make(chan struct{})
+		}
+		g.actors[i] = a
 	}
 	return g, nil
 }
 
 func (g *Group) start() {
 	for _, a := range g.actors {
-		go a.loop()
+		if a.mailbox != nil {
+			go a.loop()
+		}
 	}
 }
 
-// Shards returns the partition count.
-func (g *Group) Shards() int { return len(g.actors) }
-
-// Size implements incremental.Index: profiles resolved so far.
+// Size returns the number of profiles resolved so far.
 func (g *Group) Size() int { return g.size }
 
 // Config returns the effective (post-defaults) group configuration.
 func (g *Group) Config() Config { return g.cfg }
 
-// Resolve implements incremental.Index: phase 1 scatter-gathers the
+// Resolve is the two-phase resolve: phase 1 scatter-gathers the
 // pruned candidates, phase 2 assigns the next global ID and commits the
 // profile to its home shard. On any error nothing was committed and no
 // ID was consumed.
@@ -705,7 +724,7 @@ func (g *Group) SyncWAL() error {
 	return firstErr
 }
 
-// Peek implements incremental.Index: the read-only scatter-gather alone.
+// Peek is the read-only scatter-gather alone: Resolve's candidates, no commit.
 func (g *Group) Peek(p entity.Profile) ([]incremental.Candidate, error) {
 	if g.closed {
 		return nil, ErrClosed
@@ -812,7 +831,7 @@ func (g *Group) gatherExcluding(keys []string, exclude entity.ID) ([]incremental
 		g.noteSuccess(i)
 		g.lists[i] = req.cands
 		if g.cfg.OnGather != nil {
-			g.cfg.OnGather(i, len(req.cands))
+			g.cfg.OnGather(i, req.weighed)
 		}
 	}
 	if firstErr != nil {
@@ -876,9 +895,13 @@ type Stat struct {
 func (g *Group) Stats() []Stat {
 	stats := make([]Stat, len(g.actors))
 	for i, a := range g.actors {
+		free := g.cfg.QueueDepth // an inline actor never queues
+		if a.tokens != nil {
+			free = cap(a.tokens) - len(a.tokens)
+		}
 		stats[i] = Stat{
 			Shard:               i,
-			QueueFree:           cap(a.tokens) - len(a.tokens),
+			QueueFree:           free,
 			Down:                g.down[i],
 			ConsecutiveFailures: g.fails[i],
 		}
@@ -925,7 +948,7 @@ func (g *Group) PartitionSnapshots() []*incremental.PartitionSnapshot {
 	return segs
 }
 
-// Snapshot implements incremental.Index: the canonical global snapshot,
+// Snapshot returns the canonical global snapshot,
 // byte-identical to what a single-index Resolver over the same arrivals
 // would produce — shard count does not leak into the artifact.
 func (g *Group) Snapshot() *incremental.Snapshot {
@@ -936,7 +959,8 @@ func (g *Group) Snapshot() *incremental.Snapshot {
 // profile to its home shard. The snapshot's Config overrides
 // cfg.Resolver, mirroring incremental.FromSnapshot, and the snapshot must
 // pass the same Validate, so a Blocks that disagrees with the key lists
-// is refused rather than silently skewing weights.
+// is refused rather than silently skewing weights. In-memory partitions
+// load at their final size; configured backends are fed commit by commit.
 func FromSnapshot(s *incremental.Snapshot, cfg Config) (*Group, error) {
 	if s == nil {
 		return nil, fmt.Errorf("shard: nil snapshot")
@@ -948,17 +972,30 @@ func FromSnapshot(s *incremental.Snapshot, cfg Config) (*Group, error) {
 		return nil, incremental.ErrUnsupportedScheme
 	}
 	cfg.Resolver = s.Config
-	g, err := newGroup(cfg.withDefaults())
+	cfg = cfg.withDefaults()
+	load := cfg.Backends
+	if load == nil {
+		load = func(i int) (Backend, error) { return incremental.LoadPartition(s, cfg.Shards, i), nil }
+	}
+	g, err := newGroup(cfg, load)
 	if err != nil {
 		return nil, err
 	}
-	for i, p := range s.Profiles {
-		id := entity.ID(i)
-		home := incremental.ShardOf(id, len(g.actors))
-		if err := g.actors[home].back.Commit(id, p, s.BlocksOf[i]); err != nil {
-			return nil, err
+	// The largest partition's block count: exact at one shard, else a floor.
+	hint := 0
+	for _, a := range g.actors {
+		hint = max(hint, a.back.Blocks())
+	}
+	g.blockSize = make(map[string]int, hint)
+	for i, keys := range s.BlocksOf {
+		if cfg.Backends != nil {
+			id := entity.ID(i)
+			home := incremental.ShardOf(id, len(g.actors))
+			if err := g.actors[home].back.Commit(id, s.Profiles[i], keys); err != nil {
+				return nil, err
+			}
 		}
-		for _, k := range s.BlocksOf[i] {
+		for _, k := range keys {
 			g.blockSize[k]++
 		}
 	}
@@ -967,9 +1004,8 @@ func FromSnapshot(s *incremental.Snapshot, cfg Config) (*Group, error) {
 	return g, nil
 }
 
-// Close implements incremental.Index: stops every actor, waits for them
-// to exit, and releases backends that hold resources (open segment
-// files). Idempotent.
+// Close stops every actor, waits for them to exit, and releases
+// backends that hold resources (open segment files). Idempotent.
 func (g *Group) Close() error {
 	if g.closed {
 		return nil
@@ -977,8 +1013,10 @@ func (g *Group) Close() error {
 	g.closed = true
 	var firstErr error
 	for _, a := range g.actors {
-		close(a.mailbox)
-		<-a.exited
+		if a.mailbox != nil {
+			close(a.mailbox)
+			<-a.exited
+		}
 		if c, ok := a.back.(interface{ Close() error }); ok {
 			if err := c.Close(); err != nil && firstErr == nil {
 				firstErr = err
