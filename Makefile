@@ -52,8 +52,8 @@ serve-smoke:
 
 ## chaos-smoke: SIGKILL the real binary mid-snapshot (fault-injected
 ## delay), restart on the surviving artifact, assert /readyz green and
-## that a corrupted snapshot reload yields 422. Runs the same crash
-## window against the sharded (-shards 4) manifest+segments layout.
+## that a corrupted snapshot reload yields 422. A -shards 4 server must
+## write the one-shard server's artifact byte for byte.
 chaos-smoke:
 	sh scripts/chaos_smoke.sh
 

@@ -714,8 +714,6 @@ func (p *Partition) AddBlockCounts(m map[string]int) {
 // lists and key lists) so DeepEqual equivalence holds across backends.
 func (p *Partition) Snapshot() *incremental.PartitionSnapshot {
 	s := &incremental.PartitionSnapshot{
-		Shard:    p.index,
-		Shards:   p.shards,
 		BlocksOf: make([][]string, 0, p.slots()),
 	}
 	var scratch []byte

@@ -196,13 +196,11 @@ func (t *Partition) Commit(id entity.ID, p entity.Profile, keys []string) error 
 	return nil
 }
 
-// PartitionSnapshot is one shard's slice of a resolver snapshot — what
-// internal/store persists as a per-shard segment: the shard's profiles in
-// slot order and their key lists. Like Snapshot it carries no token
-// index; the shard's posting lists are the inverse of BlocksOf.
+// PartitionSnapshot is one shard's slice of a resolver snapshot, which
+// MergeSnapshots folds into the global one: the shard's profiles in slot
+// order and their key lists. Like Snapshot it carries no token index;
+// the shard's posting lists are the inverse of BlocksOf.
 type PartitionSnapshot struct {
-	Shard    int
-	Shards   int
 	Profiles []entity.Profile
 	BlocksOf [][]string
 }
@@ -210,8 +208,6 @@ type PartitionSnapshot struct {
 // Snapshot deep-copies the partition's state.
 func (t *Partition) Snapshot() *PartitionSnapshot {
 	s := &PartitionSnapshot{
-		Shard:    t.index,
-		Shards:   t.shards,
 		Profiles: append([]entity.Profile(nil), t.profiles...),
 		BlocksOf: make([][]string, len(t.blocksOf)),
 	}
@@ -221,12 +217,12 @@ func (t *Partition) Snapshot() *PartitionSnapshot {
 	return s
 }
 
-// MergeSnapshots folds per-shard segments into the canonical global
-// snapshot: profiles and their key lists re-interleaved into arrival
-// order. The result is identical to the snapshot a single-index Resolver
-// over the same arrivals would produce — shard count does not leak into
-// the artifact, which is what lets internal/store load either layout into
-// either serving shape.
+// MergeSnapshots folds the partitions of a group, segs[k] being shard
+// k's, into the canonical global snapshot: profiles and their key lists
+// re-interleaved into arrival order. The result is identical to the
+// snapshot a single-index Resolver over the same arrivals would produce —
+// shard count does not leak into the artifact, which internal/store
+// writes once and any serving shape loads.
 func MergeSnapshots(cfg Config, segs []*PartitionSnapshot) *Snapshot {
 	if cfg.MaxBlockSize == 0 {
 		cfg.MaxBlockSize = 1000
@@ -245,9 +241,9 @@ func MergeSnapshots(cfg Config, segs []*PartitionSnapshot) *Snapshot {
 	if n > 0 {
 		snap.Profiles = make([]entity.Profile, n)
 	}
-	for _, seg := range segs {
+	for k, seg := range segs {
 		for slot, p := range seg.Profiles {
-			id := slot*shards + seg.Shard
+			id := slot*shards + k
 			snap.Profiles[id] = p
 			snap.BlocksOf[id] = seg.BlocksOf[slot]
 		}

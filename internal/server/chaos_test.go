@@ -358,15 +358,18 @@ func TestVersionMismatchReload422(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	assertReload422(t, path)
+	assertReload422(t, path, CodeVersionMismatch)
 }
 
-// TestVersionOneReload422: a resolver artifact of format version 1 —
-// the gob payload that stored the token index — is refused as a version
-// mismatch through /v1/admin/reload: 422 and one corrupt-load count. The
-// file is store's testdata fixture, written by that format's writer.
+// TestVersionOneReload422: resolver artifacts no longer read are refused
+// as a version mismatch through /v1/admin/reload: 422 version_mismatch
+// and one corrupt-load count. The files are store's testdata fixtures: a
+// format-version-1 artifact (the gob payload that stored the token
+// index) and a manifest of the retired manifest+segments layout.
 func TestVersionOneReload422(t *testing.T) {
-	assertReload422(t, filepath.Join("..", "store", "testdata", "resolver-v1.snap"))
+	for _, name := range []string{"resolver-v1.snap", "sharded-v1.snap"} {
+		assertReload422(t, filepath.Join("..", "store", "testdata", name), CodeVersionMismatch)
+	}
 }
 
 // TestRawGobReload422: a resolver artifact without the checksummed
@@ -384,12 +387,13 @@ func TestRawGobReload422(t *testing.T) {
 	if err := os.WriteFile(path, raw.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	assertReload422(t, path)
+	assertReload422(t, path, CodeCorruptArtifact)
 }
 
 // assertReload422 reloads the artifact at path into a fresh JS server and
-// requires the 422 mapping plus exactly one corrupt-load count.
-func assertReload422(t *testing.T, path string) {
+// requires the 422 mapping with the given error code plus exactly one
+// corrupt-load count.
+func assertReload422(t *testing.T, path, code string) {
 	t.Helper()
 	s := newTestServer(t, Config{Resolver: incremental.Config{Scheme: core.JS}})
 	ts := httptest.NewServer(s.Handler())
@@ -400,9 +404,13 @@ func assertReload422(t *testing.T, path string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("reload of %s: status %d, want 422", filepath.Base(path), resp.StatusCode)
+	defer resp.Body.Close()
+	var env ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity || env.Error.Code != code {
+		t.Fatalf("reload of %s: status %d %q, want 422 %q", filepath.Base(path), resp.StatusCode, env.Error.Code, code)
 	}
 	if got := s.Metrics().Counter(CtrCorruptLoads).Value(); got != 1 {
 		t.Fatalf("corrupt_loads = %d, want 1", got)

@@ -180,7 +180,7 @@ func TestServerDiskReloadAndExport(t *testing.T) {
 		t.Fatal("reloaded contents did not survive the restart")
 	}
 
-	// Export: a non-empty path writes the portable sharded artifact.
+	// Export: a non-empty path writes the portable resolver artifact.
 	exported := filepath.Join(t.TempDir(), "exported.snap")
 	if _, err := s2.SnapshotFile(exported); err != nil {
 		t.Fatal(err)

@@ -577,11 +577,10 @@ func (s *Server) Reload(snap *incremental.Snapshot) (int, error) {
 // all outstanding cursors.
 func (s *Server) Generation() uint64 { return s.generation.Load() }
 
-// ReloadFile is Reload from a store resolver-snapshot file of either
-// layout — a plain "resolver" artifact or a sharded manifest+segments.
-// The artifact is fully loaded and verified BEFORE the swap: a corrupt
-// or version-mismatched file leaves the live index untouched (the HTTP
-// layer maps it to 422). A successful reload sets the server.reload_us
+// ReloadFile is Reload from a store resolver artifact or a disk directory
+// (store.LoadAnyResolverFile). The artifact is fully loaded and verified
+// BEFORE the swap: a corrupt or version-mismatched file leaves the live
+// index untouched (the HTTP layer maps it to 422). A successful reload sets the server.reload_us
 // gauge to its duration, load plus build.
 func (s *Server) ReloadFile(path string) (int, error) {
 	start := time.Now()
@@ -621,29 +620,26 @@ func (s *Server) Snapshot() *incremental.Snapshot {
 	return s.index.Snapshot()
 }
 
-// SnapshotFile persists the current serving index at path as the
-// sharded artifact — per-shard checksummed segments plus a manifest
-// committed last — and returns the number of profiles it holds. The
-// file can be fed back to -snapshot at startup or to /v1/admin/reload,
-// at any shard count. In disk mode an empty path means "checkpoint in
-// place" — durability lives in the serving directory itself — while a
-// non-empty path additionally exports the portable artifact.
+// SnapshotFile persists the current serving index at path as a
+// "resolver" artifact and returns the number of profiles it holds. The
+// artifact is the canonical snapshot, so servers at any shard count
+// over the same arrivals write the same bytes, and the file can be fed
+// back to -snapshot at startup or to /v1/admin/reload at any shard
+// count. It records the configuration the index serves, which after a
+// reload is the artifact's, not the flags'. In disk mode an empty path
+// means "checkpoint in place" — durability lives in the serving
+// directory itself — while a non-empty path additionally exports the
+// portable artifact.
 func (s *Server) SnapshotFile(path string) (int, error) {
 	if s.diskMode() && path == "" {
 		return s.Checkpoint()
 	}
-	s.mu.Lock()
-	segs := s.index.PartitionSnapshots()
-	s.mu.Unlock()
-	n := 0
-	for _, seg := range segs {
-		n += len(seg.Profiles)
-	}
-	if err := store.SaveShardedResolverFile(path, s.cfg.Resolver, segs); err != nil {
+	snap := s.Snapshot()
+	if err := store.SaveResolverFile(path, snap); err != nil {
 		return 0, err
 	}
 	s.metrics.Counter(CtrSnapshots).Inc()
-	return n, nil
+	return len(snap.Profiles), nil
 }
 
 // ConfigStatus is the effective (post-defaults) configuration as served

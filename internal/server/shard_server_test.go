@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"metablocking/internal/fault"
 	"metablocking/internal/incremental"
 	"metablocking/internal/shard"
+	"metablocking/internal/store"
 )
 
 // TestShardedBatchedEqualsSerial is the sharded acceptance load test:
@@ -69,41 +71,105 @@ func TestShardedBatchedEqualsSerial(t *testing.T) {
 	}
 }
 
-// TestShardedSnapshotRoundTrips: a sharded server persists the
-// manifest+segments layout, and the artifact reloads into servers of any
-// shard count — including the monolithic one — with identical contents.
+// TestShardedSnapshotRoundTrips: servers at shard counts {1, 4, 16} fed
+// the same arrivals write byte-identical artifacts, each the only file in
+// its directory, and every one reloads at shard counts {1, 2, 16} to the
+// serial Resolver's snapshot.
 func TestShardedSnapshotRoundTrips(t *testing.T) {
-	s4 := newTestServer(t, Config{
-		Resolver: incremental.Config{Scheme: core.JS, K: 5},
-		Shards:   4,
-	})
+	rcfg := incremental.Config{Scheme: core.JS, K: 5}
 	profiles := testProfiles(t, 40)
-	for _, p := range profiles {
-		if _, err := s4.Resolve(context.Background(), p); err != nil {
-			t.Fatal(err)
+	serial, err := incremental.NewResolver(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial.AddBatch(profiles)
+	want := serial.Snapshot()
+	var first []byte
+	for _, shards := range []int{1, 4, 16} {
+		s := newTestServer(t, Config{Resolver: rcfg, Shards: shards})
+		for _, p := range profiles {
+			if _, err := s.Resolve(context.Background(), p); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	want := s4.Snapshot()
-	path := filepath.Join(t.TempDir(), "sharded.snap")
-	if n, err := s4.SnapshotFile(path); err != nil || n != 40 {
-		t.Fatalf("sharded snapshot: n=%d err=%v", n, err)
-	}
-	// The sharded layout leaves per-shard segment files beside the manifest.
-	if matches, _ := filepath.Glob(path + ".g*.s*"); len(matches) != 4 {
-		t.Fatalf("expected 4 segment files, found %d", len(matches))
-	}
-	for _, shards := range []int{1, 2, 16} {
-		s, err := New(Config{Resolver: incremental.Config{Scheme: core.JS, K: 5}, Shards: shards})
+		dir := t.TempDir()
+		path := filepath.Join(dir, "resolver.snap")
+		if n, err := s.SnapshotFile(path); err != nil || n != 40 {
+			t.Fatalf("shards=%d snapshot: n=%d err=%v", shards, n, err)
+		}
+		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+			t.Fatalf("shards=%d: snapshot left %d files (%v), want 1", shards, len(entries), err)
+		}
+		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n, err := s.ReloadFile(path); err != nil || n != 40 {
-			t.Fatalf("shards=%d reload: n=%d err=%v", shards, n, err)
+		if first == nil {
+			first = raw
+		} else if !bytes.Equal(raw, first) {
+			t.Fatalf("shards=%d: artifact differs from the one-shard server's", shards)
 		}
-		if !reflect.DeepEqual(s.Snapshot(), want) {
-			t.Fatalf("shards=%d: reloaded snapshot diverged", shards)
+		for _, reload := range []int{1, 2, 16} {
+			r := newTestServer(t, Config{Resolver: rcfg, Shards: reload})
+			if n, err := r.ReloadFile(path); err != nil || n != 40 {
+				t.Fatalf("shards=%d→%d reload: n=%d err=%v", shards, reload, n, err)
+			}
+			if !reflect.DeepEqual(r.Snapshot(), want) {
+				t.Fatalf("shards=%d→%d: reloaded snapshot diverged from serial", shards, reload)
+			}
+			r.Close()
 		}
-		s.Close()
+	}
+}
+
+// TestSnapshotRecordsTheServedConfig: a server started with K = 10 that
+// reloaded a K = 5 artifact serves K = 5, and the artifact it writes says
+// K = 5 — so a fresh server with the same flags, reloaded from it, answers
+// every later arrival as the first one does.
+func TestSnapshotRecordsTheServedConfig(t *testing.T) {
+	profiles := testProfiles(t, 60)
+	serial, err := incremental.NewResolver(incremental.Config{Scheme: core.JS, K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial.AddBatch(profiles[:40])
+	dir := t.TempDir()
+	k5 := filepath.Join(dir, "k5.snap")
+	if err := store.SaveResolverFile(k5, serial.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	flags := Config{Resolver: incremental.Config{Scheme: core.JS, K: 10}, Shards: 4}
+	served := newTestServer(t, flags)
+	if _, err := served.ReloadFile(k5); err != nil {
+		t.Fatal(err)
+	}
+	again := filepath.Join(dir, "again.snap")
+	if _, err := served.SnapshotFile(again); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := store.LoadAnyResolverFile(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Config.K != 5 {
+		t.Fatalf("snapshot records K = %d, want the served 5", snap.Config.K)
+	}
+	fresh := newTestServer(t, flags)
+	if _, err := fresh.ReloadFile(again); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range profiles[40:] {
+		want, err := served.Resolve(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := fresh.Resolve(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("arrival %d: fresh server answers %+v, want %+v", i, got, want)
+		}
 	}
 }
 

@@ -97,38 +97,41 @@ func TestOneShardFaultsAndPanics(t *testing.T) {
 	if _, err := g.Resolve(profiles[0]); !errors.As(err, &pe) {
 		t.Fatalf("commit panic: err = %v, want *par.PanicError", err)
 	}
-	inj.Arm(GatherSite(0), fault.Spec{Panic: true, Times: 1})
-	if _, err := g.Resolve(profiles[0]); !errors.As(err, &pe) {
-		t.Fatalf("gather panic: err = %v, want *par.PanicError", err)
-	}
 	if g.Size() != 0 {
 		t.Fatalf("failed resolves consumed IDs: size %d", g.Size())
 	}
-	// Three consecutive failures reached DownAfter, but the success in
-	// between resets the count: the shard is still up.
+	// Two consecutive failures, one short of DownAfter; a success resets
+	// the count.
 	if res, err := g.Resolve(profiles[0]); err != nil || res.ID != 0 {
 		t.Fatalf("resolve after faults: id %d err %v, want 0 <nil>", res.ID, err)
 	}
-	if g.Stats()[0].Down {
-		t.Fatal("shard down after a success")
+	if st := g.Stats()[0]; st.Down || st.ConsecutiveFailures != 0 {
+		t.Fatalf("after a success: %+v, want up with 0 failures", st)
+	}
+	inj.Arm(GatherSite(0), fault.Spec{Panic: true, Times: 1})
+	if _, err := g.Resolve(profiles[1]); !errors.As(err, &pe) {
+		t.Fatalf("gather panic: err = %v, want *par.PanicError", err)
+	}
+	if res, err := g.Resolve(profiles[1]); err != nil || res.ID != 1 {
+		t.Fatalf("resolve after a gather panic: id %d err %v, want 1 <nil>", res.ID, err)
 	}
 
-	// A gather that succeeds resets the count before a failing commit, so
-	// consecutive failures that mark the shard down are gather failures.
-	inj.Arm(GatherSite(0), fault.Spec{Times: 3})
+	// Failing commits count like failing gathers, although the gather
+	// before each one succeeds: DownAfter of them mark the shard down.
+	inj.Arm(CommitSite(0), fault.Spec{Times: 3})
 	for i := 0; i < 3; i++ {
-		if _, err := g.Resolve(profiles[1]); !errors.Is(err, fault.ErrInjected) {
-			t.Fatalf("gather fault %d: err = %v, want ErrInjected", i, err)
+		if _, err := g.Resolve(profiles[2]); !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("commit fault %d: err = %v, want ErrInjected", i, err)
 		}
 	}
 	if st := g.Stats()[0]; !st.Down || st.ConsecutiveFailures != 3 {
 		t.Fatalf("after DownAfter failures: %+v, want down with 3 failures", st)
 	}
-	if _, err := g.Resolve(profiles[1]); !errors.Is(err, ErrShardDown) {
+	if _, err := g.Resolve(profiles[2]); !errors.Is(err, ErrShardDown) {
 		t.Fatalf("resolve on the down shard: err = %v, want ErrShardDown", err)
 	}
-	if g.Size() != 1 {
-		t.Fatalf("size %d, want 1", g.Size())
+	if g.Size() != 2 {
+		t.Fatalf("size %d, want 2", g.Size())
 	}
 	// A read still answers, from no live shard.
 	if cands, err := g.Peek(profiles[0]); err != nil || len(cands) != 0 {

@@ -583,10 +583,15 @@ func (g *Group) Resolve(p entity.Profile) (incremental.BatchResult, error) {
 			fmt.Errorf("%w: shard %d, home of profile %d", ErrShardDown, home, id)
 	}
 	keys := g.keyer.Keys(p)
+	// The home shard's failure count stands until its commit succeeds: a
+	// resolve that fails counts once against it, in the gather or the
+	// commit, so DownAfter failing commits mark it down too.
+	fails := g.fails[home]
 	cands, err := g.gather(keys)
 	if err != nil {
 		return incremental.BatchResult{ID: -1}, err
 	}
+	g.fails[home] = fails
 
 	a := g.actors[home]
 	req := a.req
@@ -924,9 +929,12 @@ func (g *Group) Stats() []Stat {
 	return stats
 }
 
-// PartitionSnapshots deep-copies every shard's segment — what
-// internal/store persists as the sharded artifact.
-func (g *Group) PartitionSnapshots() []*incremental.PartitionSnapshot {
+// Snapshot deep-copies every shard's partition and merges them into the
+// canonical global snapshot, byte-identical to what a single-index
+// Resolver over the same arrivals would produce — shard count does not
+// leak into the artifact. Its Config is the one the group serves, which
+// after FromSnapshot is the snapshot's, not the caller's.
+func (g *Group) Snapshot() *incremental.Snapshot {
 	segs := make([]*incremental.PartitionSnapshot, len(g.actors))
 	for i, a := range g.actors {
 		if g.closed {
@@ -945,14 +953,7 @@ func (g *Group) PartitionSnapshots() []*incremental.PartitionSnapshot {
 		}
 		segs[i] = a.receive().snap
 	}
-	return segs
-}
-
-// Snapshot returns the canonical global snapshot,
-// byte-identical to what a single-index Resolver over the same arrivals
-// would produce — shard count does not leak into the artifact.
-func (g *Group) Snapshot() *incremental.Snapshot {
-	return incremental.MergeSnapshots(g.cfg.Resolver, g.PartitionSnapshots())
+	return incremental.MergeSnapshots(g.cfg.Resolver, segs)
 }
 
 // FromSnapshot rebuilds a group from a canonical snapshot, routing each

@@ -199,6 +199,40 @@ func TestShardDownAndPartial(t *testing.T) {
 	}
 }
 
+// TestFailingCommitsMarkTheHomeShardDown: on actor shards, DownAfter
+// consecutive failing commits mark the home shard down, although every
+// gather before them succeeds on it; the other shards stay up.
+func TestFailingCommitsMarkTheHomeShardDown(t *testing.T) {
+	profiles := testProfiles(t, 2)
+	inj := fault.New(1)
+	g, err := New(Config{Resolver: incremental.Config{Scheme: core.JS, K: 3}, Shards: 4, DownAfter: 3, Fault: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if _, err := g.Resolve(profiles[0]); err != nil {
+		t.Fatal(err)
+	}
+	// id 1 homes on shard 1.
+	inj.Arm(CommitSite(1), fault.Spec{Times: 3})
+	for i := 0; i < 3; i++ {
+		if _, err := g.Resolve(profiles[1]); !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("commit fault %d: err = %v, want ErrInjected", i, err)
+		}
+	}
+	for i, st := range g.Stats() {
+		if want := i == 1; st.Down != want || (st.ConsecutiveFailures == 3) != want {
+			t.Fatalf("shard %d after 3 failing commits on shard 1: %+v", i, st)
+		}
+	}
+	if _, err := g.Resolve(profiles[1]); !errors.Is(err, ErrShardDown) {
+		t.Fatalf("resolve on the down shard: err = %v, want ErrShardDown", err)
+	}
+	if g.Size() != 1 {
+		t.Fatalf("size %d, want 1", g.Size())
+	}
+}
+
 // TestPanicIsolation injects a panic inside one actor's commit: the
 // resolve fails with a typed error, the actor survives, and the very
 // next resolve succeeds with the same ID.
@@ -267,15 +301,15 @@ func TestFromSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("post-restore snapshots diverged")
 	}
 
-	// Segment round trip: per-shard segments → group at the same count.
-	segs := g3.PartitionSnapshots()
-	g3b, err := FromSnapshot(incremental.MergeSnapshots(snap.Config, segs), Config{Shards: 5})
+	// A second hop: the restored group's snapshot rebuilds a group at
+	// yet another count with the same contents.
+	g5, err := FromSnapshot(g3.Snapshot(), Config{Shards: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g3b.Close()
-	if !reflect.DeepEqual(g3b.Snapshot(), g3.Snapshot()) {
-		t.Fatal("segment round trip diverged")
+	defer g5.Close()
+	if !reflect.DeepEqual(g5.Snapshot(), g3.Snapshot()) {
+		t.Fatal("second round trip diverged")
 	}
 
 	// A Blocks that is exactly the key lists' inverse is accepted...

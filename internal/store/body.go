@@ -1,13 +1,12 @@
 package store
 
-// The body of the two resolver artifacts ("resolver" and
-// "resolver-shard", format version 2). After the artifact's gob envelope
-// a body is plain bytes built from the write-ahead log's primitives —
-// uvarints, zigzag varints and length-prefixed strings:
+// The body of the "resolver" artifact (format version 2). After the
+// artifact's gob envelope a body is plain bytes built from the
+// write-ahead log's primitives — uvarints, zigzag varints and
+// length-prefixed strings:
 //
-//	head      the artifact's own fields: Scheme, K, MaxBlockSize and
-//	          MinTokenLength of a resolver; Shard, Shards and Generation
-//	          of a segment
+//	head      the resolver configuration: Scheme, K, MaxBlockSize and
+//	          MinTokenLength
 //	keys      uvarint count, uvarint byte length, then the distinct block
 //	          keys as length-prefixed strings, strictly ascending
 //	totals    uvarint profiles, attributes and key references
@@ -61,33 +60,6 @@ func decodeResolverBody(body []byte) (*incremental.Snapshot, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// appendSegmentBody appends the body of one "resolver-shard" segment.
-func appendSegmentBody(dst []byte, gen uint64, seg *incremental.PartitionSnapshot) ([]byte, error) {
-	dst = binary.AppendVarint(dst, int64(seg.Shard))
-	dst = binary.AppendVarint(dst, int64(seg.Shards))
-	dst = binary.AppendUvarint(dst, gen)
-	return appendIndex(dst, seg.Profiles, seg.BlocksOf)
-}
-
-// decodeSegmentBody parses a "resolver-shard" body and returns the
-// generation stamped in it beside the segment.
-func decodeSegmentBody(body []byte) (*incremental.PartitionSnapshot, uint64, error) {
-	r := bodyReader{b: body}
-	seg := &incremental.PartitionSnapshot{}
-	seg.Shard = int(r.varint())
-	seg.Shards = int(r.varint())
-	gen := r.uvarint()
-	if r.err != nil {
-		return nil, 0, r.err
-	}
-	var err error
-	seg.Profiles, seg.BlocksOf, err = decodeIndex(body[r.off:])
-	if err != nil {
-		return nil, 0, err
-	}
-	return seg, gen, nil
 }
 
 // appendIndex appends the key dictionary, the totals and the profiles.

@@ -36,11 +36,7 @@ func bodySeeds(t testing.TB) map[string]*incremental.Snapshot {
 	return seeds
 }
 
-func segmentOf(s *incremental.Snapshot) *incremental.PartitionSnapshot {
-	return &incremental.PartitionSnapshot{Shard: 0, Shards: 1, Profiles: s.Profiles, BlocksOf: s.BlocksOf}
-}
-
-// TestBodyRoundTrip: both bodies decode to the snapshot they encode,
+// TestBodyRoundTrip: a body decodes to the snapshot it encodes,
 // shapes included, and the decoded strings do not alias the input.
 func TestBodyRoundTrip(t *testing.T) {
 	for name, want := range bodySeeds(t) {
@@ -58,19 +54,6 @@ func TestBodyRoundTrip(t *testing.T) {
 		clear(body)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: decoded snapshot aliases the body", name)
-		}
-
-		seg := segmentOf(want)
-		body, err = appendSegmentBody(nil, 7, seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotSeg, gen, err := decodeSegmentBody(body)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if gen != 7 || !reflect.DeepEqual(gotSeg, seg) {
-			t.Fatalf("%s: segment body round trip differs", name)
 		}
 	}
 }
@@ -140,17 +123,13 @@ func cat(parts ...[]byte) []byte {
 	return out
 }
 
-// FuzzResolverBody: no input panics either body decoder; malformed input
+// FuzzResolverBody: no input panics the body decoder; malformed input
 // is refused as ErrCorruptArtifact; and any body that decodes re-encodes
 // to exactly its own bytes.
 func FuzzResolverBody(f *testing.F) {
 	for _, s := range bodySeeds(f) {
 		body, err := appendResolverBody(nil, s)
 		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(body)
-		if body, err = appendSegmentBody(nil, 3, segmentOf(s)); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(body)
@@ -162,13 +141,6 @@ func FuzzResolverBody(f *testing.F) {
 			}
 		} else if again, err := appendResolverBody(nil, s); err != nil || !bytes.Equal(again, body) {
 			t.Fatalf("resolver body re-encodes to %v (%v), want %v", again, err, body)
-		}
-		if seg, gen, err := decodeSegmentBody(body); err != nil {
-			if !errors.Is(err, ErrCorruptArtifact) {
-				t.Fatalf("segment body: %v, want ErrCorruptArtifact", err)
-			}
-		} else if again, err := appendSegmentBody(nil, gen, seg); err != nil || !bytes.Equal(again, body) {
-			t.Fatalf("segment body re-encodes to %v (%v), want %v", again, err, body)
 		}
 	})
 }

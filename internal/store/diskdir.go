@@ -461,11 +461,7 @@ func LoadDiskDir(root string) (*incremental.Snapshot, error) {
 	}
 	segs := make([]*incremental.PartitionSnapshot, layout.Shards)
 	for k, state := range layout.Shard {
-		ps := &incremental.PartitionSnapshot{
-			Shard:    k,
-			Shards:   layout.Shards,
-			BlocksOf: make([][]string, 0),
-		}
+		ps := &incremental.PartitionSnapshot{BlocksOf: make([][]string, 0)}
 		var scratch []byte
 		for _, seg := range state.Segments {
 			for ci := 0; ci < seg.ProfileChunks(); ci++ {

@@ -1,12 +1,13 @@
 // Package store persists the pipeline's artifacts — block collections and
 // resolver snapshots — in a compact self-describing binary format. Every
 // artifact opens with a versioned gob envelope naming its kind. Block
-// collections and manifests follow it with a gob value; resolver
-// snapshots and their per-shard segments with a hand-encoded body of
-// uvarints and length-prefixed strings (body.go) that stores each
-// profile's key list, not the token index derived from them. Blocking a
-// large collection once and re-running meta-blocking configurations
-// against the saved blocks is the intended workflow.
+// collections follow it with a gob value; a resolver snapshot with a
+// hand-encoded body of uvarints and length-prefixed strings (body.go)
+// that stores each profile's key list, not the token index derived from
+// them. A resolver snapshot has no shard count: one file serves every
+// serving shape, and is what the server writes at every shard count.
+// Blocking a large collection once and re-running meta-blocking
+// configurations against the saved blocks is the intended workflow.
 //
 // The file-level helpers (SaveResolverFile, SaveBlocksFile and their Load
 // counterparts) are crash-safe: artifacts are written to a temp file in
@@ -83,6 +84,12 @@ const (
 	resolverVersion = 2
 
 	resolverKind = "resolver"
+
+	// retiredManifestKind names the manifest of the manifest+segments
+	// layout that older servers wrote beside the plain resolver artifact:
+	// a resolver snapshot in a format no longer read, so a resolver load
+	// refuses it as ErrVersionMismatch without decoding it.
+	retiredManifestKind = "resolver-shards"
 )
 
 // Checksummed container framing: header magic + container version, then
@@ -134,6 +141,9 @@ func readEnvelope(dec *gob.Decoder, kind string, version int) error {
 	var env envelope
 	if err := dec.Decode(&env); err != nil {
 		return fmt.Errorf("store: reading header: %v: %w", err, ErrCorruptArtifact)
+	}
+	if kind == resolverKind && env.Kind == retiredManifestKind {
+		return fmt.Errorf("store: %q artifacts are no longer read (want %q): %w", env.Kind, kind, ErrVersionMismatch)
 	}
 	if env.Kind != kind {
 		return fmt.Errorf("store: artifact is a %q, expected %q: %w", env.Kind, kind, ErrCorruptArtifact)
@@ -232,6 +242,21 @@ func readResolver(payload []byte) (*incremental.Snapshot, error) {
 // checksummed write protocol.
 func SaveResolverFile(path string, s *incremental.Snapshot) error {
 	return saveFileAtomic(path, func(w io.Writer) error { return WriteResolver(w, s) })
+}
+
+// LoadAnyResolverFile loads a resolver snapshot from either place one
+// lives: an out-of-core disk directory (LoadDiskDir) or a "resolver"
+// artifact file. Either way the result is the canonical global snapshot,
+// servable at any shard count.
+func LoadAnyResolverFile(path string) (*incremental.Snapshot, error) {
+	if st, err := os.Stat(path); err == nil && st.IsDir() {
+		return LoadDiskDir(path)
+	}
+	payload, err := readFileVerified(path)
+	if err != nil {
+		return nil, err
+	}
+	return readResolver(payload)
 }
 
 // SaveBlocksFile persists a block collection with the same atomic

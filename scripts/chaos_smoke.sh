@@ -10,7 +10,9 @@
 # 410 cursor_invalid (fresh signing key) rather than a wrong answer, and
 # that with -wal-sync=always a SIGKILL inside the group-commit window
 # loses no acknowledged write: the restart replays the WAL tail and
-# answers bit-identically to a never-crashed control.
+# answers bit-identically to a never-crashed control. A -shards 4 server
+# fed the same arrivals must write the same artifact bytes as the
+# one-shard server.
 set -eu
 
 workdir="$(mktemp -d)"
@@ -52,11 +54,9 @@ resolve '{"attributes":{"fullname":["jack q miller"],"work":["car vendor"]}}'
 saved="$(curl -fsS -X POST -d "{\"path\":\"$snap\"}" "$base/v1/admin/snapshot")"
 echo "$saved" | grep -q '"profiles":2' || { echo "chaos-smoke: snapshot: $saved"; exit 1; }
 kill -TERM "$pid"; wait "$pid" || true; pid=""
-# The artifact is a manifest plus the per-shard segment files it names
-# (one at the default -shards 1); the torn-write check covers every one.
-committed="$(ls "$snap" "$snap".g*.s*)"
-sum_before="$(cksum $committed | sort)"
-echo "chaos-smoke: good artifact written ($(echo "$committed" | wc -l) files)"
+# The artifact is one file at every shard count.
+sum_before="$(cksum "$snap")"
+echo "chaos-smoke: good artifact written"
 
 # Phase 2: SIGKILL mid-snapshot. The armed delay pins the save between
 # writing the temp file and the fsync+rename, so the kill lands while the
@@ -72,9 +72,9 @@ wait "$pid" 2>/dev/null || true
 pid=""
 wait "$curl_pid" 2>/dev/null || true
 
-# Half-written segments of the next generation may linger; the committed
-# manifest and segments must be bit-identical.
-sum_after="$(cksum $committed | sort)"
+# A half-written temp file may linger beside it; the committed artifact
+# must be bit-identical.
+sum_after="$(cksum "$snap")"
 [ "$sum_before" = "$sum_after" ] || { echo "chaos-smoke: artifact changed across a torn write"; echo "before: $sum_before"; echo "after: $sum_after"; exit 1; }
 
 # Phase 3: restart on the surviving artifact — readiness must go green.
@@ -103,10 +103,9 @@ wait "$pid" || status=$?
 pid=""
 [ "$status" -eq 0 ] || { echo "chaos-smoke: exit status $status after SIGTERM:"; cat "$log"; exit 1; }
 
-# Phase 5: the sharded layout survives the same crash window. A -shards 4
-# server writes a manifest plus four per-shard segments; SIGKILL during
-# the next (fault-delayed) save must leave every committed file — the
-# manifest and all generation-1 segments — checksum-valid and loadable.
+# Phase 5: the artifact has no shard count. A -shards 4 server fed
+# Phase 1's two arrivals writes exactly Phase 1's bytes, and a -shards 4
+# restart on that file goes green and serves at four shards.
 shardsnap="$workdir/sharded.snap"
 start_server -shards 4
 resolve '{"attributes":{"name":["jack miller"],"job":["car seller"]}}'
@@ -114,34 +113,11 @@ resolve '{"attributes":{"fullname":["jack q miller"],"work":["car vendor"]}}'
 saved="$(curl -fsS -X POST -d "{\"path\":\"$shardsnap\"}" "$base/v1/admin/snapshot")"
 echo "$saved" | grep -q '"profiles":2' || { echo "chaos-smoke: sharded snapshot: $saved"; exit 1; }
 kill -TERM "$pid"; wait "$pid" || true; pid=""
-segcount="$(ls "$shardsnap".g*.s* 2>/dev/null | wc -l)"
-[ "$segcount" -eq 4 ] || { echo "chaos-smoke: expected 4 segment files, found $segcount"; exit 1; }
-sums_before="$(cksum "$shardsnap" "$shardsnap".g*.s* | sort)"
-echo "chaos-smoke: sharded artifact written (manifest + $segcount segments)"
-
-start_server -shards 4 -snapshot "$shardsnap" -fault 'store.save.sync:delay=10s'
-resolve '{"attributes":{"name":["john smith"],"city":["berlin"]}}'
-curl -fsS -X POST -d "{\"path\":\"$shardsnap\"}" "$base/v1/admin/snapshot" >/dev/null 2>&1 &
-curl_pid=$!
-sleep 1
-echo "chaos-smoke: SIGKILL mid-sharded-snapshot"
-kill -9 "$pid"
-wait "$pid" 2>/dev/null || true
-pid=""
-wait "$curl_pid" 2>/dev/null || true
-
-# Generation-1 files must be bit-identical; half-written generation-2
-# segments may linger but are ignored by the loader and swept on the
-# next successful save.
-sums_after="$(cksum "$shardsnap" $(ls "$shardsnap".g1.s* 2>/dev/null) | sort)"
-sums_g1_before="$(echo "$sums_before" | grep -v '\.g[2-9]' || true)"
-[ "$sums_g1_before" = "$sums_after" ] || {
-    echo "chaos-smoke: committed sharded files changed across a torn write"
-    echo "before: $sums_g1_before"; echo "after: $sums_after"; exit 1;
-}
+cmp "$snap" "$shardsnap" || { echo "chaos-smoke: -shards 4 artifact differs from the one-shard artifact"; exit 1; }
+echo "chaos-smoke: -shards 4 artifact is byte-identical to the one-shard artifact"
 
 start_server -shards 4 -snapshot "$shardsnap"
-curl -fsS "$base/readyz" | grep -q '^ready$' || { echo "chaos-smoke: /readyz not green after sharded crash recovery"; cat "$log"; exit 1; }
+curl -fsS "$base/readyz" | grep -q '^ready$' || { echo "chaos-smoke: /readyz not green on the -shards 4 restart"; cat "$log"; exit 1; }
 grep -q 'loaded snapshot .* (2 profiles)' "$log" || { echo "chaos-smoke: sharded snapshot not restored:"; cat "$log"; exit 1; }
 resolve '{"attributes":{"name":["jack miller"],"job":["car seller"]}}'
 status_body="$(curl -fsS "$base/v1/admin/status")"
