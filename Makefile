@@ -34,15 +34,18 @@ cover:
 ## fuzz-smoke: run every fuzz target for FUZZTIME each — the differential
 ## oracle comparators on mutated block collections, the tokenizer, the
 ## out-of-core add/checkpoint/crash state machine, the WAL
-## crash-replay loop (reference never rolls back), and the resolver
-## artifact body codec (malformed bodies refused, decoded ones re-encode
-## to the same bytes).
+## crash-replay loop (reference never rolls back), the in-memory sharded
+## group's resolve/peek/resume-peek/snapshot-reload sequences against the
+## serial resolver at shards {1, 2, 4}, and the resolver artifact body
+## codec (malformed bodies refused, decoded ones re-encode to the same
+## bytes).
 fuzz-smoke:
 	$(GO) test ./internal/oracle -run '^$$' -fuzz '^FuzzDiffDirty$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/oracle -run '^$$' -fuzz '^FuzzDiffClean$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/entity -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/diskindex -run '^$$' -fuzz '^FuzzOutOfCore$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/diskindex -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/shard -run '^$$' -fuzz '^FuzzShardedMatchesSerial$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzResolverBody$$' -fuzztime $(FUZZTIME)
 
 ## serve-smoke: build cmd/serve, start it on a random port, resolve a

@@ -1,15 +1,16 @@
 // Sharded building blocks of the incremental index.
 //
 // A Partition is one hash-shard of a Resolver: it holds the profiles whose
-// IDs hash to it (ShardOf), the shard's slice of every block's posting
-// list, and its own ScanCount kernel. Partitions know nothing about each
-// other — the global statistics every weighting scheme needs (block
-// cardinalities for ARCS and Block Purging, the distinct-block count for
-// ECBS, the arriving profile's key count) are computed once by a
-// coordinator (internal/shard.Group) and passed into Gather, so a
-// candidate's weight comes out bit-identical to the single-index Resolver:
-// the per-candidate accumulation order, the float operations and the
-// operand values are all the same.
+// IDs hash to it (ShardOf), the shard's members of every block, and its
+// own ScanCount kernel; block members are plain ID lists the kernel
+// scans in place, under interned block ids (see Partition). Partitions
+// know nothing about each other — the global statistics every weighting
+// scheme needs (block cardinalities for ARCS and Block Purging, the
+// distinct-block count for ECBS, the arriving profile's key count) are
+// computed once by a coordinator (internal/shard.Group) and passed into
+// Gather, so a candidate's weight comes out bit-identical to the
+// single-index Resolver: the per-candidate accumulation order, the float
+// operations and the operand values are all the same.
 //
 // The coordinator reconstructs the serial resolver's global behavior from
 // the per-partition results with the merge kernels below:
@@ -30,7 +31,6 @@ import (
 
 	"metablocking/internal/core"
 	"metablocking/internal/entity"
-	"metablocking/internal/postings"
 )
 
 // Resolve is Add with shard.Group.Resolve's signature, for reference replays.
@@ -80,56 +80,111 @@ func KeyIncrements(incs []float64, keys []string, blockSize func(string) int, sc
 // single-writer structure like Resolver — internal/shard gives each
 // partition of a multi-shard group its own actor goroutine, and runs a
 // one-shard group's partition on the caller's goroutine.
+//
+// The partition interns its block keys: the first member a key gains on
+// this shard gives it a dense block id, and everything past the gather's
+// one map lookup per key works on ids. A block's members are a plain
+// ascending []entity.ID that ScanCount.Scan reads in place, and a
+// profile's key list is a []int32 of block ids — 4 bytes per reference
+// instead of a 16-byte string header. Unlike the serial Resolver's
+// delta+varint lists, nothing is decoded per gather.
 type Partition struct {
 	shards int // total shard count (for slot arithmetic)
 	index  int // this partition's shard number
 
 	// profiles[slot] is the profile with global ID slot*shards+index.
 	profiles []entity.Profile
-	// blocks maps token → the posting list of member GLOBAL IDs owned by
-	// this shard. Commits arrive in ascending global-ID order, so every
-	// list still delta-encodes.
-	blocks map[string]*postings.Builder
-	// blocksOf[slot] lists the block keys of the profile at slot; their
-	// count is the slot's |B_j| in the kernel.
-	blocksOf [][]string
+	// blockID interns every block key with a member on this shard.
+	blockID map[string]int32
+	// members[b] lists block b's member GLOBAL IDs owned by this shard,
+	// ascending: commits arrive in ascending global-ID order.
+	members [][]entity.ID
+	// blocksOf[slot] lists the block ids of the profile at slot, in its
+	// key order; their count is the slot's |B_j| in the kernel.
+	blocksOf [][]int32
 
 	// scan is the shard's ScanCount kernel, one slot per profile, grown
 	// by Commit.
 	scan *ScanCount
-
-	// members is the posting-decode scratch, reused across gathers.
-	members []entity.ID
 }
 
 // NewPartition returns shard index of shards for the given scheme.
 func NewPartition(scheme core.Scheme, shards, index int) *Partition {
 	return &Partition{
-		shards: shards,
-		index:  index,
-		blocks: make(map[string]*postings.Builder),
-		scan:   NewScanCount(scheme, shards),
+		shards:  shards,
+		index:   index,
+		blockID: make(map[string]int32),
+		scan:    NewScanCount(scheme, shards),
 	}
 }
 
 // LoadPartition builds shard index of shards from a validated snapshot at
-// its final size: each slice is allocated once, and the partition shares
-// the snapshot's key lists, which neither side ever mutates.
+// its final size. A first pass interns every key, writes the block ids of
+// all key lists into one arena and counts each block's members; the
+// second allocates every member list once at its final length and fills
+// it. Key lists are capped slices of the arena, so none can grow into a
+// neighbor's ids.
 func LoadPartition(s *Snapshot, shards, index int) *Partition {
 	n := (len(s.Profiles) - index + shards - 1) / shards
 	t := NewPartition(s.Config.Scheme, shards, index)
 	t.profiles = make([]entity.Profile, 0, n)
-	t.blocksOf = make([][]string, 0, n)
+	t.blocksOf = make([][]int32, 0, n)
 	t.scan.cells = make([]scanSlot, 0, n)
+	refs := 0
+	for i := index; i < len(s.Profiles); i += shards {
+		refs += len(s.BlocksOf[i])
+	}
+	arena := make([]int32, refs)
+	var counts []int32
 	for i := index; i < len(s.Profiles); i += shards {
 		p, keys := s.Profiles[i], s.BlocksOf[i]
 		p.ID = entity.ID(i)
 		t.profiles = append(t.profiles, p)
-		t.blocksOf = append(t.blocksOf, keys)
 		t.scan.AddSlot(len(keys))
-		appendPostings(t.blocks, p.ID, keys)
+		ids := arena[:len(keys):len(keys)]
+		arena = arena[len(keys):]
+		for j, k := range keys {
+			b, added := t.intern(k)
+			if added {
+				counts = append(counts, 0)
+			}
+			counts[b]++
+			ids[j] = b
+		}
+		t.blocksOf = append(t.blocksOf, ids)
+	}
+	t.members = make([][]entity.ID, len(counts))
+	for b, c := range counts {
+		t.members[b] = make([]entity.ID, 0, c)
+	}
+	for slot, ids := range t.blocksOf {
+		t.addMember(entity.ID(slot*shards+index), ids)
 	}
 	return t
+}
+
+// intern returns key k's block id, assigning the next one to a new key
+// and reporting whether it did.
+func (t *Partition) intern(k string) (b int32, added bool) {
+	b, ok := t.blockID[k]
+	if !ok {
+		b = int32(len(t.blockID))
+		t.blockID[k] = b
+	}
+	return b, !ok
+}
+
+// addMember appends id to the member list of each of blocks. IDs must
+// arrive in ascending order and a profile's keys must be distinct; like
+// postings.Builder, a non-ascending append panics.
+func (t *Partition) addMember(id entity.ID, blocks []int32) {
+	for _, b := range blocks {
+		m := t.members[b]
+		if n := len(m); n > 0 && id <= m[n-1] {
+			panic(fmt.Sprintf("incremental: block member %d appended after %d", id, m[n-1]))
+		}
+		t.members[b] = append(m, id)
+	}
 }
 
 // LastWeighed returns how many neighbors the last Gather weighed before
@@ -141,7 +196,7 @@ func (t *Partition) Len() int { return len(t.profiles) }
 
 // Blocks returns the number of distinct block keys with at least one
 // member on this partition.
-func (t *Partition) Blocks() int { return len(t.blocks) }
+func (t *Partition) Blocks() int { return len(t.blockID) }
 
 // Profile returns the partition-homed profile with the given global ID.
 func (t *Partition) Profile(id entity.ID) *entity.Profile {
@@ -161,19 +216,18 @@ func (t *Partition) Gather(keys []string, incs []float64, bi int, nb float64, ma
 		if inc == SkipKey {
 			continue
 		}
-		if b := t.blocks[k]; b != nil {
-			t.members = b.AppendTo(t.members[:0])
-			t.scan.Scan(ki, inc, t.members)
+		if b, ok := t.blockID[k]; ok {
+			t.scan.Scan(ki, inc, t.members[b])
 		}
 	}
 	return t.scan.Weigh(bi, nb, maxWeighted, dst)
 }
 
 // Commit homes a newly assigned profile on this partition: the profile and
-// its block keys are appended, and its global ID joins the shard's slice
-// of each keyed posting list. The caller (the coordinator's second phase)
+// its block ids are appended, and its global ID joins the shard's slice
+// of each keyed block. The caller (the coordinator's second phase)
 // guarantees IDs arrive in ascending order and ShardOf(id) == index; keys
-// are copied, so the caller may reuse its buffer.
+// are not retained, so the caller may reuse its buffer.
 func (t *Partition) Commit(id entity.ID, p entity.Profile, keys []string) error {
 	if ShardOf(id, t.shards) != t.index {
 		return fmt.Errorf("incremental: profile %d committed to shard %d of %d, belongs on %d",
@@ -186,13 +240,19 @@ func (t *Partition) Commit(id entity.ID, p entity.Profile, keys []string) error 
 	p.ID = id
 	t.profiles = append(t.profiles, p)
 	t.scan.AddSlot(len(keys))
-	var kept []string
+	var ids []int32
 	if len(keys) > 0 {
-		kept = make([]string, len(keys))
-		copy(kept, keys)
+		ids = make([]int32, len(keys))
+		for j, k := range keys {
+			b, added := t.intern(k)
+			if added {
+				t.members = append(t.members, nil)
+			}
+			ids[j] = b
+		}
 	}
-	t.blocksOf = append(t.blocksOf, kept)
-	appendPostings(t.blocks, id, keys)
+	t.blocksOf = append(t.blocksOf, ids)
+	t.addMember(id, ids)
 	return nil
 }
 
@@ -205,14 +265,26 @@ type PartitionSnapshot struct {
 	BlocksOf [][]string
 }
 
-// Snapshot deep-copies the partition's state.
+// Snapshot deep-copies the partition's state, mapping block ids back to
+// their keys.
 func (t *Partition) Snapshot() *PartitionSnapshot {
+	names := make([]string, len(t.blockID))
+	for k, b := range t.blockID {
+		names[b] = k
+	}
 	s := &PartitionSnapshot{
 		Profiles: append([]entity.Profile(nil), t.profiles...),
 		BlocksOf: make([][]string, len(t.blocksOf)),
 	}
-	for i, keys := range t.blocksOf {
-		s.BlocksOf[i] = append([]string(nil), keys...)
+	for i, ids := range t.blocksOf {
+		if len(ids) == 0 {
+			continue
+		}
+		keys := make([]string, len(ids))
+		for j, b := range ids {
+			keys[j] = names[b]
+		}
+		s.BlocksOf[i] = keys
 	}
 	return s
 }

@@ -695,15 +695,12 @@ type Status struct {
 
 // Status assembles the admin status snapshot. Like Snapshot it takes the
 // write lock, because walking the sharded coordinator's actors is a
-// single-caller operation.
+// single-caller operation. The resolver configuration is the one the
+// index serves, which after a reload is the artifact's, not the flags'.
 func (s *Server) Status() Status {
 	cfg := s.cfg
 	st := Status{
 		Config: ConfigStatus{
-			Scheme:            cfg.Resolver.Scheme.String(),
-			K:                 cfg.Resolver.K,
-			MaxBlockSize:      cfg.Resolver.MaxBlockSize,
-			MinTokenLength:    cfg.Resolver.MinTokenLength,
 			Shards:            cfg.Shards,
 			ShardQueueDepth:   cfg.ShardQueueDepth,
 			BatchWindowMs:     cfg.BatchWindow.Milliseconds(),
@@ -740,6 +737,11 @@ func (s *Server) Status() Status {
 		}
 	}
 	s.mu.Lock()
+	served := s.index.Config().Resolver
+	st.Config.Scheme = served.Scheme.String()
+	st.Config.K = served.K
+	st.Config.MaxBlockSize = served.MaxBlockSize
+	st.Config.MinTokenLength = served.MinTokenLength
 	st.Profiles = s.index.Size()
 	st.Checkpoint = s.index.Checkpointed()
 	st.Shards = s.index.Stats()

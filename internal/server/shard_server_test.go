@@ -173,6 +173,32 @@ func TestSnapshotRecordsTheServedConfig(t *testing.T) {
 	}
 }
 
+// TestStatusReportsTheServedConfig: a K = 10, 4-shard server that reloaded
+// an artifact with K = 5, MaxBlockSize 7 and MinTokenLength 2 reports
+// those three in /v1/admin/status — what the index serves, not the flags.
+func TestStatusReportsTheServedConfig(t *testing.T) {
+	profiles := testProfiles(t, 40)
+	served := incremental.Config{Scheme: core.JS, K: 5, MaxBlockSize: 7, MinTokenLength: 2}
+	serial, err := incremental.NewResolver(served)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial.AddBatch(profiles)
+	path := filepath.Join(t.TempDir(), "k5.snap")
+	if err := store.SaveResolverFile(path, serial.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Resolver: incremental.Config{Scheme: core.JS, K: 10}, Shards: 4})
+	if _, err := s.ReloadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got := s.Status().Config
+	if got.K != 5 || got.MaxBlockSize != 7 || got.MinTokenLength != 2 || got.Scheme != "JS" {
+		t.Fatalf("status reports scheme %q K %d MaxBlockSize %d MinTokenLength %d, want JS 5 7 2",
+			got.Scheme, got.K, got.MaxBlockSize, got.MinTokenLength)
+	}
+}
+
 // TestShardedFaultEnvelopes drives per-shard fault injection end to end
 // through the HTTP surface: gather failures surface as 500 "internal"
 // envelopes until the failing shard is marked down, after which resolves
